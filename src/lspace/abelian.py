@@ -181,7 +181,6 @@ def smith_normal_form(mat):
         if a[t][t] < 0:
             negate_row(t)
         t += 1
-    diag = [a[i][i] for i in range(n)]
     return [row[:] for row in a], u, v
 
 
@@ -217,6 +216,82 @@ def quotient_group(num_gens, relations):
         tors = [u[i][j] % diag[i] for i in tors_idx]
         images.append((tuple(frees), tuple(tors)))
     return len(free_idx), orders, images
+
+
+def quotient_by_relation(blocks, relation, positive=None):
+    """The quotient of a direct sum of groups Z + T_i by one relation.
+
+    blocks lists the torsion orders of each summand Z + T_i; a vector of
+    the sum concatenates (free part, torsion residues) block by block.
+    Returns (free_rank, orders, image) with orders the cyclic orders of
+    the quotient's torsion.  When the free rank is one and positive is
+    given, image(vector) is the class of a vector as a GroupElement of
+    Z + orders, with the free generator oriented so that image(positive)
+    has nonnegative free part; otherwise image is None.
+    """
+    num_gens = sum(1 + len(orders) for orders in blocks)
+    relations = []
+    start = 0
+    for orders in blocks:
+        for i, n in enumerate(orders):
+            rel = [0] * num_gens
+            rel[start + 1 + i] = n
+            relations.append(rel)
+        start += 1 + len(orders)
+    relations.append(list(relation))
+    free_rank, orders, images = quotient_group(num_gens, relations)
+    if free_rank != 1 or positive is None:
+        return free_rank, orders, None
+
+    def image(vector):
+        free = 0
+        tors = [0] * len(orders)
+        for c, (f, t) in zip(vector, images):
+            free += c * f[0]
+            for k, tk in enumerate(t):
+                tors[k] += c * tk
+        return GroupElement(flip * free, tuple(a % n for a, n in zip(tors, orders)))
+
+    flip = 1  # image reads flip when called: orient it by positive
+    if image(positive).free < 0:
+        flip = -1
+    return free_rank, orders, image
+
+
+class ClassEncoding:
+    """The classes of Z + T as integers free * |T| + tindex(torsion), with
+    tindex the mixed-radix index of the torsion residues (the last order
+    varies fastest, as in FinAbGroup.torsion_elements)."""
+
+    def __init__(self, orders):
+        self.orders = tuple(orders)
+        weights = []
+        w = 1
+        for n in reversed(self.orders):
+            weights.append(w)
+            w *= n
+        weights.reverse()
+        self.weights = tuple(weights)
+        self.size = w
+
+    def tindex(self, torsion):
+        return sum(a * w for a, w in zip(torsion, self.weights))
+
+    def encode(self, h):
+        return h.free * self.size + self.tindex(h.torsion)
+
+    def add_table(self, torsion):
+        """table[i] is the index of the i-th torsion class plus torsion."""
+        table = []
+        for idx in range(self.size):
+            rem = idx
+            shifted = 0
+            for n, w, t in zip(self.orders, self.weights, torsion):
+                c = rem // w
+                rem %= w
+                shifted += ((c + t) % n) * w
+            table.append(shifted)
+        return table
 
 
 # --- slopes ---------------------------------------------------------------
@@ -279,6 +354,32 @@ def pairing_and_label(mu_L, mu):
     n = mu.dot_l
     label = Fraction(beta, n) if n else None
     return beta, n, label
+
+
+def canonical_longitude(mu):
+    """The unique slope lambda = q* m + p* l with mu . lambda = 1 and
+    0 <= q* < p, for mu = p m + q l with p > 0.
+
+    Returns (lambda, q*, p*).
+    """
+    p, q = mu.a, mu.b
+    q_star = (-pow(q, -1, p)) % p
+    p_star = (1 + q * q_star) // p
+    assert p * p_star - q * q_star == 1
+    return Slope(q_star, p_star), q_star, p_star
+
+
+def primitive_slope_qs(p, bound):
+    """The q of the primitive slopes p/q with |q| <= bound, for fixed
+    p >= 1, by increasing |q| with q before -q.
+
+    Slope(p, q) is already normalized for every q yielded.
+    """
+    for absq in range(bound + 1):
+        if gcd(p, absq) == 1:
+            yield absq
+            if absq:
+                yield -absq
 
 
 # --- gluing matrices ------------------------------------------------------

@@ -17,7 +17,7 @@ a label-preserving isomorphism.
 
 from dataclasses import dataclass
 
-from .abelian import GroupElement, Slope
+from .abelian import GroupElement, Slope, canonical_longitude, primitive_slope_qs
 from .errors import LSpaceError, MissingWitness, NotGeneralizedSolidTorus
 from .interval import lspace_interval
 from .torsion import (filling_homology_order, hfk_support, milnor_invariants,
@@ -66,15 +66,10 @@ def _auto_mu(Y, witness):
     norm = milnor_invariants(Y).norm
     interval = lspace_interval(Y, witness).interval.interior()
     for p in range(1, 64):
-        for q in sorted(range(-3 * 64, 3 * 64 + 1), key=lambda x: (abs(x), x < 0)):
-            try:
-                s = Slope(p, q)
-            except ValueError:
-                continue
-            if (s.a, s.b) != (p, q):
-                continue
-            if p * rep.g <= norm:
-                continue
+        if p * rep.g <= norm:
+            continue
+        for q in primitive_slope_qs(p, 3 * 64):
+            s = Slope(p, q)
             if not interval.contains(s):
                 continue
             try:
@@ -88,19 +83,6 @@ def _auto_mu(Y, witness):
 def _iota_raw(Y, a, b):
     G = Y.group
     return G.add(G.scale(a, Y.iota_m), G.scale(b, Y.iota_l))
-
-
-def _canonical_lam0(mu):
-    # mu . lam0 = 1 with the m-coefficient of lam0 reduced mod mu.a
-    p, q = mu.a, mu.b
-    if p == 1:
-        x = 0
-    else:
-        x = (-pow(q, -1, p)) % p
-    y = (1 + q * x) // p
-    lam0 = Slope(x, y) if (x, y) != (0, 0) else Slope(0, 1)
-    assert mu.pairing(lam0) == 1
-    return lam0
 
 
 def build_cfd(Y, witness=None, mu=None, lam=None):
@@ -118,7 +100,7 @@ def build_cfd(Y, witness=None, mu=None, lam=None):
     v0 = hfk_support(Y, mu)
     spread = _phi_spread(v0)
     if lam is None:
-        lam0 = _canonical_lam0(mu)
+        lam0 = canonical_longitude(mu)[0]
         N = 1
         while abs(lam0.a - N * mu.a) * rep.g <= spread:
             N += 1

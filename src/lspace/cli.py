@@ -16,7 +16,7 @@ from fractions import Fraction
 from .abelian import Slope
 from .cfd import build_cfd, cfd_to_dot, cfd_twist_compare
 from .coloring import surgery_is_lspace_oracle
-from .errors import HypothesisNotMet, LSpaceError
+from .errors import HypothesisNotMet, LSpaceError, reads_input
 from .gluing import (condition_systems, judicious_slope, splice_from_json,
                      splice_is_lspace)
 from .interval import (check_corollary_consistency, is_lspace_slope,
@@ -45,6 +45,7 @@ class _ParseFailure(Exception):
                        "line": exc.lineno, "column": exc.colno}
 
 
+@reads_input
 def _slope_arg(text):
     num, _, den = text.partition("/")
     return Slope(int(num), int(den if den else 1))
@@ -267,10 +268,11 @@ def _run_batch(path, out):
                 raise KeyError(cmd)
             argv = [cmd, json.dumps(request.get("input", {}))]
             for key, value in request.get("args", {}).items():
+                # one word per option, so a value such as "-1/1" stays a value
                 if value is True:
                     argv.append("--%s" % key)
                 else:
-                    argv.extend(["--%s" % key, str(value)])
+                    argv.append("--%s=%s" % (key, value))
             args = parser.parse_args(argv)
         except (json.JSONDecodeError, KeyError, SystemExit):
             out.write(json.dumps({"index": index, "error": "ParseError"},

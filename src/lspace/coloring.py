@@ -37,13 +37,12 @@ the package's central cross-validation.
 
 from functools import lru_cache
 
-from .abelian import quotient_group
+from .abelian import ClassEncoding, canonical_longitude, quotient_by_relation
 from .errors import LongitudeFilling, NotFloerSimpleSlope
-from .interval import canonical_longitude
 from .torsion import hfk_support, validate_manifold
 
 
-def simple_knot_support(q, p=1):
+def simple_knot_support(q):
     """Occupied classes of the simple knot in a lens space of order q:
     q consecutive classes on the Z/q-graded line."""
     if q < 1:
@@ -78,25 +77,14 @@ def color(Y, mu, h):
 
 @lru_cache(maxsize=None)
 def _support_differences(Y, iota_mu):
-    """Pairwise differences of the knot-Floer support as encoded integers
-    (free * torsion_size + torsion_index), with the free-part span."""
+    """Pairwise differences of the knot-Floer support as encoded classes,
+    with the free-part span and the encoding."""
     support = hfk_support(Y, iota_mu)
     G = Y.group
-    orders = G.torsion_orders
-    weights = []
-    w = 1
-    for n in reversed(orders):
-        weights.append(w)
-        w *= n
-    weights.reverse()
-    tsize = w
-
-    def enc(h):
-        return h.free * tsize + sum(a * wt for a, wt in zip(h.torsion, weights))
-
-    diffs = frozenset(enc(G.sub(x2, x1)) for x1 in support for x2 in support)
+    enc = ClassEncoding(G.torsion_orders)
+    diffs = frozenset(enc.encode(G.sub(x2, x1)) for x1 in support for x2 in support)
     frees = [x.free for x in support]
-    return diffs, max(frees) - min(frees), tsize, weights
+    return diffs, max(frees) - min(frees), enc
 
 
 def _oracle_fast(Y, mu, beta, n_coeff, alpha):
@@ -111,7 +99,7 @@ def _oracle_fast(Y, mu, beta, n_coeff, alpha):
     """
     G = Y.group
     iota_mu = Y.iota(mu)
-    diffs, span, tsize, weights = _support_differences(Y, iota_mu)
+    diffs, span, enc = _support_differences(Y, iota_mu)
     lam1, q_star, p_star = canonical_longitude(mu)
     rep = validate_manifold(Y)
     g = rep.g
@@ -124,7 +112,6 @@ def _oracle_fast(Y, mu, beta, n_coeff, alpha):
     # the lens threshold 2 + floor(m alpha_o / beta) at rate |n|/(p beta)
     m_cap = ((span + pg) * beta) // (g * abs(n_coeff)) + 2
     if not orders:
-        step = sigma * q_star  # free part; no torsion bookkeeping
         cur = 0
         for m in range(1, m_cap + 1):
             cur += qg
@@ -134,6 +121,7 @@ def _oracle_fast(Y, mu, beta, n_coeff, alpha):
                 if cur + j * pg in diffs:
                     return False
         return True
+    tsize, weights = enc.size, enc.weights
     lam_t = tuple((sigma * a) % n for a, n in zip(Y.iota(lam1).torsion, orders))
     mu_t = iota_mu.torsion
     cur_free = 0
@@ -151,120 +139,45 @@ def _oracle_fast(Y, mu, beta, n_coeff, alpha):
     return True
 
 
-class _Encoding:
-    """Mixed-radix encoding of torsion tuples."""
-
-    def __init__(self, orders):
-        self.orders = orders
-        size = 1
-        for n in orders:
-            size *= n
-        self.size = size
-        weights = []
-        w = 1
-        for n in reversed(orders):
-            weights.append(w)
-            w *= n
-        weights.reverse()
-        self.weights = weights
-
-    def tindex(self, torsion):
-        return sum(a * w for a, w in zip(torsion, self.weights))
-
-    def add_table(self, torsion):
-        orders, weights = self.orders, self.weights
-        table = []
-        for idx in range(self.size):
-            rem = idx
-            shifted = 0
-            for n, w, t in zip(orders, weights, torsion):
-                c = rem // w
-                rem %= w
-                shifted += ((c + t) % n) * w
-            table.append(shifted)
-        return table
-
-
-class _CombinedSetup:
-    """Coordinates and black set for the connected sum of the mu-filling
-    of Y with a lens space of order beta >= 1 (sweep route)."""
-
-    def __init__(self, Y, iota_mu, beta):
-        G = Y.group
-        num_gens = 1 + len(G.torsion_orders) + 1  # m-bar, T gens, lens gen
-        relations = []
-        for i, n in enumerate(G.torsion_orders):
-            rel = [0] * num_gens
-            rel[1 + i] = n
-            relations.append(rel)
-        relations.append([iota_mu.free] + list(iota_mu.torsion) + [-beta])
-        free_rank, orders, images = quotient_group(num_gens, relations)
-        if free_rank != 1:
-            raise NotFloerSimpleSlope("combined filling has wrong free rank")
-        self.orders = orders
-        self.images = images
-        mu_free = self._raw_image([iota_mu.free] + list(iota_mu.torsion) + [0])[0]
-        self.flip = -1 if mu_free < 0 else 1
-        self.enc = _Encoding(orders)
-        self.mu_img = self.image([iota_mu.free] + list(iota_mu.torsion) + [0])
-        self.gen_img = self.image([0] * (num_gens - 1) + [1])
-        blacks = set()
-        for h in hfk_support(Y, iota_mu):
-            for k in range(beta):
-                f, t = self.image([h.free] + list(h.torsion) + [k])
-                blacks.add(f * self.enc.size + self.enc.tindex(t))
-        # transversality bookkeeping: one black class per meridian coset
-        expected = self.mu_img[0] * self.enc.size
-        if len(blacks) != expected:
-            raise NotFloerSimpleSlope(
-                "combined support has %d classes, expected %d" % (len(blacks), expected))
-        self.blacks = frozenset(blacks)
-
-    def _raw_image(self, vector):
-        free = 0
-        tors = [0] * len(self.orders)
-        for i, c in enumerate(vector):
-            f, t = self.images[i]
-            free += c * f[0]
-            for k in range(len(self.orders)):
-                tors[k] += c * t[k]
-        return free, tors
-
-    def image(self, vector):
-        free, tors = self._raw_image(vector)
-        return (self.flip * free,
-                tuple(a % n for a, n in zip(tors, self.orders)))
-
-
 @lru_cache(maxsize=64)
 def _combined_setup(Y, iota_mu, beta):
-    return _CombinedSetup(Y, iota_mu, beta)
-
-
-def _invert(table):
-    inv = [0] * len(table)
-    for i, j in enumerate(table):
-        inv[j] = i
-    return inv
+    """The connected sum of the mu-filling of Y with a lens space of order
+    beta >= 1 (sweep route): the encoding of its first homology, the map
+    from (m-bar, T, lens generator) vectors, the meridian class and the
+    encoded black classes."""
+    mu_vec = [iota_mu.free, *iota_mu.torsion]
+    free_rank, orders, image = quotient_by_relation(
+        [Y.group.torsion_orders, ()], mu_vec + [-beta], mu_vec + [0])
+    if free_rank != 1:
+        raise NotFloerSimpleSlope("combined filling has wrong free rank")
+    enc = ClassEncoding(orders)
+    mu_img = image(mu_vec + [0])
+    blacks = set()
+    for h in hfk_support(Y, iota_mu):
+        for k in range(beta):
+            blacks.add(enc.encode(image([h.free, *h.torsion, k])))
+    # transversality bookkeeping: one black class per meridian coset
+    expected = mu_img.free * enc.size
+    if len(blacks) != expected:
+        raise NotFloerSimpleSlope(
+            "combined support has %d classes, expected %d" % (len(blacks), expected))
+    return enc, image, mu_img, frozenset(blacks)
 
 
 def _oracle_sweep(Y, mu, beta, n_coeff, alpha, window_scale):
     """Windowed coset sweep in the combined group."""
     iota_mu = Y.iota(mu)
-    setup = _combined_setup(Y, iota_mu, beta)
-    enc, orders = setup.enc, setup.orders
+    enc, image, (mu_free, mu_tors), blacks = _combined_setup(Y, iota_mu, beta)
+    orders = enc.orders
     lam1, q_star, p_star = canonical_longitude(mu)
     iota_lam1 = Y.iota(lam1)
-    lam_free, lam_tors = setup.image(
-        [iota_lam1.free] + list(iota_lam1.torsion) + [alpha])
+    lam_free, lam_tors = image([iota_lam1.free, *iota_lam1.torsion, alpha])
     if lam_free == 0:
         raise LongitudeFilling("spliced longitude class is torsion")
     if lam_free < 0:
         lam_free = -lam_free
         lam_tors = tuple((-a) % n for a, n in zip(lam_tors, orders))
 
-    mu_free, mu_tors = setup.mu_img
-    blacks = setup.blacks
     size = enc.size
     black_frees = [c // size for c in blacks]
     lo_black, hi_black = min(black_frees), max(black_frees)
@@ -273,7 +186,7 @@ def _oracle_sweep(Y, mu, beta, n_coeff, alpha, window_scale):
 
     add_lam = enc.add_table(lam_tors)
     add_mu = enc.add_table(mu_tors)
-    sub_mu = _invert(add_mu)
+    sub_mu = enc.add_table([-a for a in mu_tors])
 
     def color_of(f, t):
         n_min = -((hi_black - f) // mu_free)
@@ -301,7 +214,7 @@ def _oracle_sweep(Y, mu, beta, n_coeff, alpha, window_scale):
             raise NotFloerSimpleSlope("combined class does not decompose")
         return (found > 0) - (found < 0)
 
-    inv_lam = _invert(add_lam)
+    inv_lam = enc.add_table([-a for a in lam_tors])
     for rep_free in range(lam_free):
         for rep_t in range(size):
             # move to the lowest window position of this coset

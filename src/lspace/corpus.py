@@ -10,8 +10,9 @@ closure of the difference-set complement.
 
 import random
 
-from .abelian import FinAbGroup, GroupElement, Slope
+from .abelian import FinAbGroup, GroupElement, Slope, primitive_slope_qs
 from .errors import LSpaceError
+from .interval import validate_witness
 from .torsion import (FloerSimpleManifold, gamma_closed, milnor_invariants,
                       validate_manifold)
 
@@ -106,29 +107,19 @@ def _record_ok(Y, max_torsion=4, max_degree=5):
         ok, _ = gamma_closed(Y)
         if not ok:
             return False
-        from .interval import validate_witness
         validate_witness(Y, Y.witness)
     except (LSpaceError, ValueError):
         return False
     return True
 
 
-def _first_valid_witness(Y, bound=12):
-    from .interval import validate_witness
-    for p in range(1, bound + 1):
-        for q in sorted(range(-bound, bound + 1), key=lambda x: (abs(x), x < 0)):
-            try:
-                s = Slope(p, q)
-            except ValueError:
-                continue
-            if (s.a, s.b) != (p, q):
-                continue
-            try:
-                validate_witness(Y, s)
-            except LSpaceError:
-                continue
-            return s
-    return None
+def is_valid_witness(Y, s):
+    """Does validate_witness accept the slope s for Y?"""
+    try:
+        validate_witness(Y, s)
+    except LSpaceError:
+        return False
+    return True
 
 
 def _numerical_semigroup_gaps(gens, cap=64):
@@ -197,7 +188,8 @@ def random_records(seed, count=5, max_torsion=4, max_degree=5):
                 milnor_invariants(Y)
             except (LSpaceError, ValueError):
                 continue
-            w = _first_valid_witness(Y)
+            slopes = (Slope(p, q) for p in range(1, 13) for q in primitive_slope_qs(p, 12))
+            w = next((s for s in slopes if is_valid_witness(Y, s)), None)
             if w is None:
                 continue
             Y = FloerSimpleManifold(group=Y.group, iota_m=Y.iota_m,

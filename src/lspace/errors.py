@@ -4,6 +4,8 @@ Every semantic failure has a named exception class; the CLI reports the
 class name verbatim in the "error" field of its JSON output.
 """
 
+from functools import wraps
+
 
 class LSpaceError(Exception):
     """Base class for all semantic errors raised by this package."""
@@ -11,6 +13,23 @@ class LSpaceError(Exception):
     @property
     def name(self):
         return type(self).__name__
+
+
+class MalformedInput(LSpaceError):
+    """Outside input that cannot be read: a missing key, a value of the
+    wrong type or shape, a cyclic order below 2, or the slope 0/0."""
+
+
+def reads_input(fn):
+    """Report the ValueError, KeyError, TypeError or AttributeError that
+    fn raises while reading outside input as MalformedInput."""
+    @wraps(fn)
+    def reader(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise MalformedInput("%s: %s" % (type(exc).__name__, exc)) from exc
+    return reader
 
 
 # --- manifold record validation ---

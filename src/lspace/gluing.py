@@ -25,8 +25,9 @@ from functools import lru_cache
 from math import gcd
 
 from .abelian import (FinAbGroup, GluingMatrix, GroupElement, Slope,
-                      quotient_group)
-from .errors import HypothesisNotMet, NotRationalHomologySphere
+                      canonical_longitude, primitive_slope_qs,
+                      quotient_by_relation)
+from .errors import HypothesisNotMet, NotRationalHomologySphere, reads_input
 from .interval import lspace_interval, validate_witness
 from .torsion import (FloerSimpleManifold, conj_record, dtau, reversed_encoding,
                       tauc_degree, validate_manifold)
@@ -43,6 +44,7 @@ class SpliceProblem:
                 lspace_interval(self.y2, self.y2.witness))
 
 
+@reads_input
 def splice_from_json(doc):
     from .torsion import manifold_from_json
     return SpliceProblem(y1=manifold_from_json(doc["y1"]),
@@ -155,16 +157,6 @@ class JudiciousSlope:
         return self.q2_star % self.p2
 
 
-def _search_candidates(p_lo, p_hi, q_cap):
-    for p1 in range(max(p_lo, 1), p_hi + 1):
-        cap = q_cap * p1 + q_cap
-        for absq in range(0, cap + 1):
-            for q1 in ((absq,) if absq == 0 else (absq, -absq)):
-                if gcd(p1, abs(q1)) != 1:
-                    continue
-                yield p1, q1
-
-
 def judicious_slope(prob, max_p=400):
     """Deterministic judicious splice meridian.
 
@@ -197,7 +189,6 @@ def judicious_slope(prob, max_p=400):
         raise RuntimeError("judicious search bound exhausted")
     p1, q1, p2, q2 = found
     # canonical longitude on side one; side two longitude is -phi(lambda1)
-    from .interval import canonical_longitude
     lam1, q1s, p1s = canonical_longitude(Slope(p1, q1))
     lx, ly = prob.phi.apply_raw(lam1.a, lam1.b)
     q2s, p2s = -lx, -ly
@@ -222,18 +213,17 @@ def _scan_judicious(prob, p_hi):
     g2 = validate_manifold(prob.y2).g
     bound = (1 + tauc_degree(prob.y1)) * (1 + tauc_degree(prob.y2))
     q_cap = 2 * max(abs(phi.e11), abs(phi.e12), abs(phi.e21), abs(phi.e22), 2) + 2
-    for p1, q1 in _search_candidates(max(q_star, bound) + 1, p_hi, q_cap):
-        p2, q2 = phi.apply_raw(p1, q1)
-        if p2 <= q_star or p2 <= bound:
-            continue
-        if gcd(p1, p2) != 1 or gcd(p1, g2) != 1 or gcd(p2, g1) != 1:
-            continue
-        mu1 = Slope(p1, q1)
-        if (mu1.a, mu1.b) != (p1, q1):
-            continue
-        if not (i1_int.contains(mu1) and pulled.contains(mu1)):
-            continue
-        return (p1, q1, p2, q2)
+    for p1 in range(max(q_star, bound) + 1, p_hi + 1):
+        for q1 in primitive_slope_qs(p1, q_cap * p1 + q_cap):
+            p2, q2 = phi.apply_raw(p1, q1)
+            if p2 <= q_star or p2 <= bound:
+                continue
+            if gcd(p1, p2) != 1 or gcd(p1, g2) != 1 or gcd(p2, g1) != 1:
+                continue
+            mu1 = Slope(p1, q1)
+            if not (i1_int.contains(mu1) and pulled.contains(mu1)):
+                continue
+            return (p1, q1, p2, q2)
     return None
 
 
@@ -354,38 +344,23 @@ def spliced_manifold(js):
     prob = js.problem
     Y1, Y2 = prob.y1, prob.y2
     G1, G2 = Y1.group, Y2.group
-    n1, n2 = len(G1.torsion_orders), len(G2.torsion_orders)
-    num_gens = 2 + n1 + n2   # m-bar-1, T1, m-bar-2, T2
-    relations = []
-    for i, n in enumerate(G1.torsion_orders):
-        rel = [0] * num_gens
-        rel[1 + i] = n
-        relations.append(rel)
-    for i, n in enumerate(G2.torsion_orders):
-        rel = [0] * num_gens
-        rel[2 + n1 + i] = n
-        relations.append(rel)
     im1 = Y1.iota(js.mu1)
     im2 = Y2.iota(js.mu2)
-    relations.append([im1.free] + list(im1.torsion) +
-                     [-im2.free] + list(-x for x in im2.torsion))
-    free_rank, orders, images = quotient_group(num_gens, relations)
+    # generators m-bar-1, T1, m-bar-2, T2; the meridian image is positive
+    pad1 = [0] * (1 + len(G1.torsion_orders))
+    pad2 = [0] * (1 + len(G2.torsion_orders))
+    v1 = [im1.free, *im1.torsion]
+    free_rank, orders, image = quotient_by_relation(
+        [G1.torsion_orders, G2.torsion_orders],
+        v1 + [-im2.free, *(-x for x in im2.torsion)], v1 + pad2)
     assert free_rank == 1
     group = FinAbGroup(orders)
 
-    # orient the free coordinate so the meridian image is positive
-    flip = -1 if _image(images, orders, [im1.free] + list(im1.torsion) +
-                        [0] * (1 + n2))[0] < 0 else 1
-
     def f1(h):
-        f, t = _image(images, orders,
-                      [h.free] + list(h.torsion) + [0] * (1 + n2))
-        return GroupElement(flip * f, t)
+        return image([h.free, *h.torsion, *pad2])
 
     def f2(h):
-        f, t = _image(images, orders,
-                      [0] * (1 + n1) + [h.free] + list(h.torsion))
-        return GroupElement(flip * f, t)
+        return image([*pad1, h.free, *h.torsion])
 
     iota_muL = f1(im1)
     assert iota_muL == f2(im2)
@@ -400,9 +375,9 @@ def spliced_manifold(js):
     iota_l = group.sub(group.scale(p, iota_lamL), group.scale(q_star, iota_muL))
     assert iota_l.free == 0
     g = group.torsion_order_of(iota_l)
-    q = (-pow(q_star, -1, p)) % p if p > 1 else 0
-    p_star = (1 + q * q_star) // p
-    assert p * p_star - q * q_star == 1
+    # mu_L = p m + q l with p p* - q q* = 1 and 0 <= q < p: the canonical
+    # longitude of p m + q* l, read with q and q* swapped
+    _, q, p_star = canonical_longitude(Slope(p, q_star))
     iota_m = group.sub(group.scale(p_star, iota_muL), group.scale(q, iota_lamL))
     # mu_L = p m + q l with p > 0 makes the meridian orientation determine
     # the free generator sign, so iota(m) is already positively oriented
@@ -509,17 +484,6 @@ def _principal_gap_piece(group, Y2, f2, box1):
             return missing
         bound *= 2
     raise RuntimeError("principal gap piece did not stabilize")
-
-
-def _image(images, orders, vector):
-    free = 0
-    tors = [0] * len(orders)
-    for i, c in enumerate(vector):
-        f, t = images[i]
-        free += c * f[0]
-        for k in range(len(orders)):
-            tors[k] += c * t[k]
-    return free, tuple(a % n for a, n in zip(tors, orders))
 
 
 def splice_equivalence(prob):

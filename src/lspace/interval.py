@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .abelian import LONGITUDE, Slope, pairing_and_label
+from .abelian import LONGITUDE, Slope, canonical_longitude, pairing_and_label
 from .errors import (MissingWitness, WitnessOnIntervalBoundary,
                      WitnessOnLongitude)
 from .projline import ProjInterval
@@ -53,12 +53,18 @@ def residue_pair(Y, mu_L, d):
 
 @lru_cache(maxsize=None)
 def validate_witness(Y, mu_L=None):
-    """Check that mu_L can serve as an interior witness.
+    """Check what the record can check of mu_L as an interior witness.
 
     Requires mu_L . l != 0 and a nonzero residue for every positive
     difference-set element; when the free part of iota(mu_L) exceeds the
     Thurston norm, also checks knot-Floer coherence at mu_L (this is the
     regime where a genuine interior witness must be coherent).
+
+    That mu_L lies in the interior of the L-space interval is the
+    caller's precondition, as in the paper: the record cannot always
+    check it.  The trefoil slopes 4/1 and -4 (Slope(4, -1)) have the same
+    iota, so -4 passes here although it lies outside the interval
+    [1, oo], and verdicts computed from it are wrong.
     """
     mu_L = _witness_or_default(Y, mu_L)
     rep = validate_manifold(Y)
@@ -92,21 +98,13 @@ def is_lspace_slope(Y, mu_L, mu):
     return True
 
 
-def _floor_div(a, b):
-    return a // b
-
-
-def _ceil_div(a, b):
-    return -((-a) // b)
-
-
 def endpoint_lifts(Y, mu_L, d):
     """The two lifts of a positive difference-set element adjacent to the
     witness, as slopes: (lift below, lift above)."""
     rep = validate_manifold(Y)
     p, q, g = mu_L.a, mu_L.b, rep.g
-    up = _ceil_div(q * d.delta, p)
-    dn = _floor_div(q * d.delta, p)
+    up = -((-q * d.delta) // p)
+    dn = (q * d.delta) // p
     hi = Slope(d.delta, up + (d.gamma - up) % g)
     lo = Slope(d.delta, dn - (dn - d.gamma) % g)
     return lo, hi
@@ -158,20 +156,6 @@ def nls_detected(Y, mu_L=None):
     fillings are detected as non-L-spaces."""
     result = lspace_interval(Y, mu_L)
     return result.interval.complement().closure()
-
-
-def canonical_longitude(mu_L):
-    """The unique longitude lambda_L = q* m + p* l with mu_L . lambda_L = 1
-    and 0 <= q* < p, for a witness mu_L = p m + q l with p > 0."""
-    p, q = mu_L.a, mu_L.b
-    # need p*p_star - q*q_star = 1, i.e. q*q_star = -1 (mod p)
-    if p == 1:
-        q_star = 0
-    else:
-        q_star = (-pow(q, -1, p)) % p
-    p_star = (1 + q * q_star) // p
-    assert p * p_star - q * q_star == 1
-    return Slope(q_star, p_star), q_star, p_star
 
 
 def check_corollary_consistency(Y, mu_L, mu):

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import IntegerFiberSlope
+from .errors import IntegerFiberSlope, reads_input
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,7 @@ class SeifertData:
         return all(s > 0 and 0 < r < s and gcd(r, s) == 1 for r, s in self.fibers)
 
 
+@reads_input
 def sfs_from_json(doc):
     return SeifertData(e0=doc["e0"], fibers=tuple((r, s) for r, s in doc["fibers"]))
 
@@ -98,17 +99,34 @@ class SfsVerdict(NamedTuple):
 
 
 def _minmax_sides(e0, fibers, s):
-    min_a = max_b = None
+    """min A(x) and max B(x) over 1 <= x < s, compared as integer
+    fractions by cross-multiplication."""
+    lo = hi = None
     for x in range(1, s):
-        ceil_sum = sum(-((-r * x) // sd) for r, sd in fibers)
-        floor_sum = sum((r * x) // sd for r, sd in fibers)
-        a = Fraction(-(-1 + ceil_sum), x)
-        b = Fraction(-(1 + floor_sum), x)
-        if min_a is None or a < min_a:
-            min_a = a
-        if max_b is None or b > max_b:
-            max_b = b
-    return min_a, max_b
+        a = 1 - sum(-((-r * x) // sd) for r, sd in fibers)
+        b = -1 - sum((r * x) // sd for r, sd in fibers)
+        if lo is None or a * lo[1] < lo[0] * x:
+            lo = (a, x)
+        if hi is None or b * hi[1] > hi[0] * x:
+            hi = (b, x)
+    return Fraction(*lo), Fraction(*hi)
+
+
+def _remainder_bracket(fibers, s):
+    """The remainder-sum bracket (lo, hi) of the Euler number: lo is the
+    least (1 - sum [-ri x]_si / si) / x and hi the greatest
+    (-1 + sum [ri x]_si / si) / x, over 1 <= x < s, each compared over the
+    common denominator s x."""
+    scales = [(r, sd, s // sd) for r, sd in fibers]
+    lo = hi = None
+    for x in range(1, s):
+        lo_num = s - sum(((-r * x) % sd) * k for r, sd, k in scales)
+        hi_num = -s + sum(((r * x) % sd) * k for r, sd, k in scales)
+        if lo is None or lo_num * lo[1] < lo[0] * x:
+            lo = (lo_num, x)
+        if hi is None or hi_num * hi[1] > hi[0] * x:
+            hi = (hi_num, x)
+    return Fraction(lo[0], s * lo[1]), Fraction(hi[0], s * hi[1])
 
 
 def sfs_is_lspace(d):
@@ -133,10 +151,7 @@ def sfs_is_lspace(d):
     max_side = max_b - d.e0
     thm_not = (e == 0) or (min_side < 0 < max_side)
     # remainder-sum form bracketing the Euler number
-    lo = min(Fraction(1, x) * (1 - sum(Fraction((-r * x) % sd, sd) for r, sd in d.fibers))
-             for x in range(1, s))
-    hi = max(Fraction(1, x) * (-1 + sum(Fraction((r * x) % sd, sd) for r, sd in d.fibers))
-             for x in range(1, s))
+    lo, hi = _remainder_bracket(d.fibers, s)
     orb_not = (e == 0) or (lo < e < hi)
     if thm_not != orb_not:
         raise AssertionError("criterion forms disagree on %r" % (d,))

@@ -13,14 +13,15 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .abelian import GluingMatrix, Slope
+from .abelian import LONGITUDE, GluingMatrix, Slope, primitive_slope_qs
 from .cfd import build_cfd, cfd_twist_compare
 from .coloring import surgery_is_lspace_oracle
-from .corpus import n_g, random_records, solid_torus, standard_corpus, t25, trefoil
-from .errors import HypothesisNotMet, LSpaceError, NotFloerSimpleSlope
+from .corpus import (is_valid_witness, n_g, random_records, solid_torus,
+                     standard_corpus, t25, trefoil)
+from .errors import HypothesisNotMet, NotFloerSimpleSlope
 from .gluing import SpliceProblem, splice_equivalence, splice_is_lspace
 from .interval import (check_corollary_consistency, is_lspace_slope,
-                       lspace_interval, validate_witness)
+                       lspace_interval)
 from .seifert import (SeifertData, sfs_fiber_interval, sfs_is_lspace,
                       sfs_is_lspace_via_dtau)
 from .torsion import (dtau, gamma_closed, hfk_support, milnor_invariants,
@@ -36,27 +37,15 @@ class CriterionResult:
 
 
 def all_slopes(bound):
-    out = [Slope(0, 1)]
-    for a in range(1, bound + 1):
-        for b in range(-bound, bound + 1):
-            try:
-                s = Slope(a, b)
-            except ValueError:
-                continue
-            if (s.a, s.b) == (a, b):
-                out.append(s)
-    return out
+    """The longitude, then every slope a/b with 1 <= a <= bound and
+    |b| <= bound, by a and then b."""
+    return [LONGITUDE] + [Slope(a, b) for a in range(1, bound + 1)
+                          for b in sorted(primitive_slope_qs(a, bound))]
 
 
 def valid_witnesses(Y, bound):
-    out = []
-    for s in all_slopes(bound):
-        try:
-            validate_witness(Y, s)
-        except LSpaceError:
-            continue
-        out.append(s)
-    return out
+    """The slopes of all_slopes(bound) that validate_witness accepts."""
+    return [s for s in all_slopes(bound) if is_valid_witness(Y, s)]
 
 
 def criterion_trefoil_interval():

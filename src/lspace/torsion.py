@@ -20,12 +20,14 @@ downstream (interval computation, gluing, coloring) consumes this record.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import NamedTuple
 
-from .abelian import FinAbGroup, GroupElement, Slope, snf_invariant_factors
+from .abelian import (ClassEncoding, FinAbGroup, GroupElement, Slope,
+                      quotient_by_relation)
 from .errors import (BadMeridianFreePart, Lemma73Violation, LongitudeFilling,
                      NegativePhiInComplement, NonTorsionLongitude,
-                     NotFloerSimpleSlope, ZeroInComplement)
+                     NotFloerSimpleSlope, ZeroInComplement, reads_input)
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,6 @@ class ValidationReport(NamedTuple):
     g: int            # order of iota(l) in T
     k: int            # |T| / g
     torsion_size: int
-    quotient_order: int  # |T / <iota(l)>| computed by enumeration
 
 
 class DtauElement(NamedTuple):
@@ -106,8 +107,7 @@ def validate_manifold(Y):
         seen.add(cur)
     if len(seen) != g:
         raise ValueError("internal: order mismatch for <iota(l)>")
-    quotient_order = size // len(seen)
-    return ValidationReport(g=g, k=size // g, torsion_size=size, quotient_order=quotient_order)
+    return ValidationReport(g=g, k=size // g, torsion_size=size)
 
 
 def tau_coefficient(Y, h):
@@ -200,23 +200,12 @@ def dtau(Y):
     max_free = max((h.free for h in sc), default=-1)
     if max_free < 0:
         return DtauData(all=(), positive=(), elements=frozenset())
-    orders = G.torsion_orders
-    weights = []
-    w = 1
-    for n in reversed(orders):
-        weights.append(w)
-        w *= n
-    weights.reverse()
-    tsize = w
-
-    def tindex(torsion):
-        return sum(a * wt for a, wt in zip(torsion, weights))
-
+    enc = ClassEncoding(G.torsion_orders)
+    tsize = enc.size
     levels = {}
     for h in sc:
-        levels[h.free] = levels.get(h.free, 0) | (1 << tindex(h.torsion))
+        levels[h.free] = levels.get(h.free, 0) | (1 << enc.tindex(h.torsion))
     level_list = sorted(levels)
-    torsion_tuples = [t.torsion for t in G.torsion_elements()]
     perm_cache = {}
     shift_cache = {}
 
@@ -227,10 +216,7 @@ def dtau(Y):
             return cached
         perm = perm_cache.get(dt)
         if perm is None:
-            perm = [tindex(tuple((a + b) % n for a, b, n in
-                                 zip(t, dt, orders)))
-                    for t in torsion_tuples]
-            perm_cache[dt] = perm
+            perm = perm_cache[dt] = enc.add_table(dt)
         mask = levels[f]
         out = 0
         for i in range(tsize):
@@ -335,22 +321,10 @@ def hfk_support(Y, mu):
 def filling_homology_order(Y, mu):
     """|H_1(Y(mu))| computed from a Smith normal form of the quotient
     presentation; 0 means infinite."""
-    G = Y.group
     iota_mu = Y.iota(mu) if isinstance(mu, Slope) else mu
-    num_gens = 1 + len(G.torsion_orders)
-    relations = []
-    for i, n in enumerate(G.torsion_orders):
-        rel = [0] * num_gens
-        rel[1 + i] = n
-        relations.append(rel)
-    relations.append([iota_mu.free] + list(iota_mu.torsion))
-    factors = snf_invariant_factors([[rel[i] for rel in relations] for i in range(num_gens)])
-    if len(factors) < num_gens:
-        return 0
-    order = 1
-    for d in factors:
-        order *= d
-    return order
+    free_rank, orders, _ = quotient_by_relation(
+        [Y.group.torsion_orders], [iota_mu.free, *iota_mu.torsion])
+    return 0 if free_rank else prod(orders)
 
 
 # --- re-encodings ---------------------------------------------------------
@@ -407,9 +381,7 @@ def reversed_encoding(Y):
     G = Y.group
     new_m = GroupElement(Y.iota_m.free,
                          tuple((-a) % n for a, n in zip(Y.iota_m.torsion, G.torsion_orders)))
-    new_l = GroupElement(0,
-                         tuple((-a) % n for a, n in zip(Y.iota_l.torsion, G.torsion_orders)))
-    return FloerSimpleManifold(group=G, iota_m=new_m, iota_l=new_l,
+    return FloerSimpleManifold(group=G, iota_m=new_m, iota_l=G.neg(Y.iota_l),
                                tauc_support=_reverse_support(Y, negate_torsion=False),
                                witness=Y.witness)
 
@@ -422,18 +394,17 @@ def conj_record(Y):
     coordinates.  A slope (a, b) of Y corresponds to (a, -b) here, and
     L-space verdicts carry over unchanged."""
     G = Y.group
-    new_l = GroupElement(0,
-                         tuple((-a) % n for a, n in zip(Y.iota_l.torsion, G.torsion_orders)))
     witness = Y.witness
     if witness is not None:
         witness = Slope(witness.a, -witness.b)
-    return FloerSimpleManifold(group=G, iota_m=Y.iota_m, iota_l=new_l,
+    return FloerSimpleManifold(group=G, iota_m=Y.iota_m, iota_l=G.neg(Y.iota_l),
                                tauc_support=_reverse_support(Y, negate_torsion=True),
                                witness=witness)
 
 
 # --- JSON schema ----------------------------------------------------------
 
+@reads_input
 def manifold_from_json(doc):
     group = FinAbGroup(tuple(doc.get("torsion_orders", ())))
     def elt(d):

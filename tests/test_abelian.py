@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lspace.abelian import (FinAbGroup, GluingMatrix, GroupElement, Slope,
-                            pairing_and_label, smith_normal_form,
-                            snf_invariant_factors)
+from lspace.abelian import (ClassEncoding, FinAbGroup, GluingMatrix,
+                            GroupElement, Slope, canonical_longitude,
+                            pairing_and_label, primitive_slope_qs,
+                            smith_normal_form, snf_invariant_factors)
 from lspace.errors import DeterminantError
 
 
@@ -200,3 +201,28 @@ def test_group_arithmetic():
 def test_bad_orders():
     with pytest.raises(ValueError):
         FinAbGroup((1,))
+
+
+def test_class_encoding_matches_group():
+    G = FinAbGroup((2, 3))
+    enc = ClassEncoding(G.torsion_orders)
+    torsion = G.torsion_elements()
+    assert [enc.tindex(t.torsion) for t in torsion] == list(range(6))
+    assert enc.encode(G.element(-2, (1, 2))) == -2 * 6 + 5
+    for dt in torsion:
+        table = enc.add_table(dt.torsion)
+        assert table == [enc.tindex(G.add(t, dt).torsion) for t in torsion]
+
+
+def test_primitive_slope_qs_order():
+    assert list(primitive_slope_qs(1, 2)) == [0, 1, -1, 2, -2]
+    assert list(primitive_slope_qs(4, 5)) == [1, -1, 3, -3, 5, -5]
+
+
+@given(slopes)
+def test_canonical_longitude(mu):
+    if mu.a == 0:
+        return
+    lam, q_star, p_star = canonical_longitude(mu)
+    assert (lam.a, lam.b) == (q_star, p_star)
+    assert mu.pairing(lam) == 1 and 0 <= q_star < mu.a

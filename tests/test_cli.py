@@ -4,6 +4,8 @@ import os
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from lspace.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -159,3 +161,59 @@ def test_selftest_runs():
     assert code == 0
     assert out.count("PASS") == 9
     assert json.loads(out.strip().splitlines()[-1])["ok"] is True
+
+
+def test_batch_negative_slope_matches_single(tmp_path):
+    trefoil_doc = json.loads((DATA / "trefoil.json").read_text())
+    lines = [{"cmd": "check", "input": trefoil_doc, "args": {"slope": "-1/1"}},
+             {"cmd": "oracle", "input": trefoil_doc, "args": {"nu": "-1/1"}}]
+    batch = tmp_path / "requests.jsonl"
+    batch.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+    code, out = run_cli("--batch", str(batch))
+    assert code == 0
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    _, single = run_cli("check", str(DATA / "trefoil.json"), "--slope", "-1/1")
+    assert rows[0] == dict(json.loads(single), index=0)
+    assert rows[1] == {"lspace": False, "index": 1}
+
+
+def _trefoil_with(**changes):
+    doc = json.loads((DATA / "trefoil.json").read_text())
+    doc.update(changes)
+    return doc
+
+
+MALFORMED = {
+    "order-one": ("interval", json.dumps(_trefoil_with(torsion_orders=[1]))),
+    "no-iota-l": ("interval", json.dumps({k: v for k, v in _trefoil_with().items()
+                                          if k != "iota_l"})),
+    "list-record": ("dtau", json.dumps([_trefoil_with()])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_record(case):
+    code, out = run_cli(*MALFORMED[case])
+    assert code == 1
+    assert json.loads(out)["error"] == "MalformedInput"
+
+
+def test_malformed_slope():
+    code, out = run_cli("check", str(DATA / "trefoil.json"), "--slope", "0/0")
+    assert code == 1
+    assert json.loads(out)["error"] == "MalformedInput"
+
+
+def test_batch_answers_lines_after_malformed(tmp_path):
+    trefoil_doc = _trefoil_with()
+    lines = [{"cmd": "interval", "input": _trefoil_with(torsion_orders=[1])},
+             {"cmd": "check", "input": trefoil_doc, "args": {"slope": "0/0"}},
+             {"cmd": "interval", "input": trefoil_doc}]
+    batch = tmp_path / "requests.jsonl"
+    batch.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+    code, out = run_cli("--batch", str(batch))
+    assert code == 1
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["index"] for r in rows] == [0, 1, 2]
+    assert rows[0]["error"] == rows[1]["error"] == "MalformedInput"
+    assert rows[2]["kind"] == "closed"

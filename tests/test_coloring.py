@@ -3,22 +3,10 @@ import pytest
 from lspace.abelian import GroupElement, Slope
 from lspace.coloring import color, simple_knot_support, surgery_is_lspace_oracle
 from lspace.corpus import n_g, random_records, solid_torus, t25, trefoil
-from lspace.errors import (LongitudeFilling, LSpaceError, NotFloerSimpleSlope)
-from lspace.interval import is_lspace_slope, validate_witness
+from lspace.errors import LongitudeFilling, NotFloerSimpleSlope
+from lspace.interval import is_lspace_slope
+from lspace.selftest import all_slopes, valid_witnesses
 from lspace.torsion import filling_homology_order, hfk_support
-
-
-def all_slopes(bound):
-    out = [Slope(0, 1)]
-    for a in range(1, bound + 1):
-        for b in range(-bound, bound + 1):
-            try:
-                s = Slope(a, b)
-            except ValueError:
-                continue
-            if (s.a, s.b) == (a, b):
-                out.append(s)
-    return out
 
 
 def test_simple_knot_support():
@@ -69,17 +57,6 @@ def cross_validate(Y, witnesses, slopes, window_scale=1):
             if got != want:
                 mismatches.append((w, nu, got, want))
     return mismatches, skipped
-
-
-def valid_witnesses(Y, bound):
-    out = []
-    for s in all_slopes(bound):
-        try:
-            validate_witness(Y, s)
-        except LSpaceError:
-            continue
-        out.append(s)
-    return out
 
 
 @pytest.mark.parametrize("name", ["trefoil", "t25", "n2", "solid"])

@@ -4,36 +4,12 @@ import pytest
 
 from lspace.abelian import LONGITUDE, Slope
 from lspace.corpus import n_g, negative_trefoil, solid_torus, t25, trefoil
-from lspace.errors import (LSpaceError, WitnessOnIntervalBoundary,
-                           WitnessOnLongitude)
+from lspace.errors import WitnessOnIntervalBoundary, WitnessOnLongitude
 from lspace.interval import (check_corollary_consistency, is_lspace_slope,
                              lspace_interval, nls_detected, validate_witness)
 from lspace.projline import ProjInterval
+from lspace.selftest import all_slopes, valid_witnesses
 from lspace.torsion import retwist, slope_after_retwist
-
-
-def all_slopes(bound):
-    out = [Slope(0, 1)]
-    for a in range(1, bound + 1):
-        for b in range(-bound, bound + 1):
-            try:
-                s = Slope(a, b)
-            except ValueError:
-                continue
-            if (s.a, s.b) == (a, b):
-                out.append(s)
-    return out
-
-
-def valid_witnesses(Y, bound=12):
-    out = []
-    for s in all_slopes(bound):
-        try:
-            validate_witness(Y, s)
-        except LSpaceError:
-            continue
-        out.append(s)
-    return out
 
 
 def test_validate_witness_examples():
