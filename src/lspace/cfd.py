@@ -18,7 +18,8 @@ a label-preserving isomorphism.
 from dataclasses import dataclass
 
 from .abelian import GroupElement, Slope, canonical_longitude, primitive_slope_qs
-from .errors import LSpaceError, MissingWitness, NotGeneralizedSolidTorus
+from .errors import (InvalidFraming, LSpaceError, MissingWitness,
+                     NotGeneralizedSolidTorus)
 from .interval import lspace_interval
 from .torsion import (filling_homology_order, hfk_support, milnor_invariants,
                       validate_manifold)
@@ -108,7 +109,8 @@ def build_cfd(Y, witness=None, mu=None, lam=None):
         lam = Slope(*raw)
     else:
         lam = Slope(lam.a, lam.b)
-        assert abs(mu.pairing(lam)) == 1
+        if abs(mu.pairing(lam)) != 1:
+            raise InvalidFraming("mu . lambda is %d, not +-1" % mu.pairing(lam))
         # orient the representative so that mu . lambda = +1
         raw = (lam.a, lam.b) if mu.pairing(lam) == 1 else (-lam.a, -lam.b)
         lam0, N = None, 0
@@ -123,11 +125,11 @@ def _graph_from_supports(Y, iota_mu, iota_lam):
     downward); the second layer is computed from the reversed class."""
     G = Y.group
     if iota_mu.free <= 0 or iota_lam.free >= 0:
-        raise ValueError("need phi(iota(mu)) > 0 > phi(iota(lambda))")
+        raise InvalidFraming("need phi(iota(mu)) > 0 > phi(iota(lambda))")
     v0 = hfk_support(Y, iota_mu)
     v1 = hfk_support(Y, G.neg(iota_lam))
     if _phi_spread(v0) >= -iota_lam.free:
-        raise ValueError("framing twist too small for the support spread")
+        raise InvalidFraming("framing twist too small for the support spread")
     # anchor the translation at the maximal classes
     max0 = max(h.free for h in v0)
     max1 = max(h.free for h in v1)
@@ -235,7 +237,7 @@ def cfd_twist_compare(Y):
         graph = _graph_from_supports(Y, _iota_raw(Y, 1, 0), _iota_raw(Y, -N, 1))
         graph2 = _graph_from_supports(Y, _iota_raw(Y, 1, 1),
                                       _iota_raw(Y, -N, 1 - N))
-    except (LSpaceError, ValueError) as exc:
+    except LSpaceError as exc:
         return TwistCompareReport(gst=gst, isomorphic=False,
                                   note=note or str(exc))
 

@@ -5,12 +5,15 @@ serialized as "numerator/denominator" strings; slopes use the (m, l)
 Dehn-filling basis with the sign normalization.  Exit codes: 0 on
 success, 1 on validation errors (the error class name is reported
 verbatim in the "error" field), 2 when the gluing hypothesis is not met.
+Every subcommand but selftest is one row of COMMANDS, and handle()
+answers it alike for the command line and for each --batch line.
 """
 
 import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from .abelian import Slope
@@ -30,19 +33,8 @@ from .torsion import (dtau, manifold_from_json, milnor_invariants,
 def _load_document(arg):
     if os.path.exists(arg):
         with open(arg) as fh:
-            text = fh.read()
-    else:
-        text = arg
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _ParseFailure(exc)
-
-
-class _ParseFailure(Exception):
-    def __init__(self, exc):
-        self.detail = {"error": "ParseError", "message": exc.msg,
-                       "line": exc.lineno, "column": exc.colno}
+            return json.load(fh)
+    return json.loads(arg)
 
 
 @reads_input
@@ -71,22 +63,22 @@ def _interval_doc(result):
             "hi": _slope_str(result.hi)}
 
 
-def cmd_interval(args):
-    Y = manifold_from_json(_load_document(args.manifold))
-    witness = _slope_arg(args.witness) if args.witness else None
+def cmd_interval(manifold, witness=None):
+    Y = manifold_from_json(manifold)
+    witness = _slope_arg(witness) if witness else None
     return _interval_doc(lspace_interval(Y, witness))
 
 
-def cmd_check(args):
-    Y = manifold_from_json(_load_document(args.manifold))
-    witness = _slope_arg(args.witness) if args.witness else Y.witness
-    mu = _slope_arg(args.slope)
+def cmd_check(manifold, slope, witness=None):
+    Y = manifold_from_json(manifold)
+    witness = _slope_arg(witness) if witness else Y.witness
+    mu = _slope_arg(slope)
     return {"lspace": is_lspace_slope(Y, witness, mu),
             "consistent": check_corollary_consistency(Y, witness, mu)}
 
 
-def cmd_dtau(args):
-    Y = manifold_from_json(_load_document(args.manifold))
+def cmd_dtau(manifold):
+    Y = manifold_from_json(manifold)
     data = dtau(Y)
     def row(d):
         return {"delta": d.delta, "gamma": d.gamma,
@@ -96,20 +88,20 @@ def cmd_dtau(args):
             "dtau_positive": [row(d) for d in data.positive]}
 
 
-def cmd_sfs(args):
-    d = sfs_from_json(_load_document(args.data))
+def cmd_sfs(data, fiber=None):
+    d = sfs_from_json(data)
     verdict = sfs_is_lspace(d)
     out = {"lspace": verdict.lspace, "reason": verdict.reason,
            "euler": _frac(verdict.euler)}
-    if args.fiber is not None:
+    if fiber is not None:
         norm, _ = sfs_normalize(d)
-        iv = sfs_fiber_interval(norm, args.fiber)
+        iv = sfs_fiber_interval(norm, fiber)
         out["fiber_thresholds"] = [_frac(iv.t_lower), _frac(iv.t_upper)]
     return out
 
 
-def cmd_glue(args):
-    prob = splice_from_json(_load_document(args.data))
+def cmd_glue(data):
+    prob = splice_from_json(data)
     verdict = splice_is_lspace(prob)
     out = {"lspace": verdict.lspace, "reason": verdict.reason}
     if verdict.reason != "NotRationalHomologySphere":
@@ -128,30 +120,30 @@ def cmd_glue(args):
     return out
 
 
-def cmd_oracle(args):
-    Y = manifold_from_json(_load_document(args.manifold))
-    mu = _slope_arg(args.mu) if args.mu else Y.witness
-    nu = _slope_arg(args.nu)
+def cmd_oracle(manifold, nu, mu=None, window_scale=1):
+    Y = manifold_from_json(manifold)
+    mu = _slope_arg(mu) if mu else Y.witness
+    nu = _slope_arg(nu)
     return {"lspace": surgery_is_lspace_oracle(Y, mu, nu,
-                                               window_scale=args.window_scale)}
+                                               window_scale=window_scale)}
 
 
-def cmd_cfd(args):
-    Y = manifold_from_json(_load_document(args.manifold))
-    if args.twist_compare:
+def cmd_cfd(manifold, mu=None, framing=None, twist_compare=False):
+    Y = manifold_from_json(manifold)
+    if twist_compare:
         rep = cfd_twist_compare(Y)
         out = {"twist_compare": rep.isomorphic, "gst": rep.gst}
         if rep.note:
             out["note"] = rep.note
         return out
-    mu = _slope_arg(args.mu) if args.mu else None
-    lam = _slope_arg(args.framing) if args.framing else None
+    mu = _slope_arg(mu) if mu else None
+    lam = _slope_arg(framing) if framing else None
     build = build_cfd(Y, mu=mu, lam=lam)
     return cfd_to_dot(build)
 
 
-def cmd_gst(args):
-    Y = manifold_from_json(_load_document(args.manifold))
+def cmd_gst(manifold):
+    Y = manifold_from_json(manifold)
     rep = validate_manifold(Y)
     mil = milnor_invariants(Y)
     twist = cfd_twist_compare(Y)
@@ -172,6 +164,27 @@ def cmd_selftest(args):
             "ok": ok}
 
 
+Command = namedtuple("Command", "handler help input options required",
+                     defaults=((),))
+
+# Every subcommand but selftest.  An option, named as on the command line
+# without "--", is a slope string (str), an int or a flag (bool).
+COMMANDS = {
+    "interval": Command(cmd_interval, "L-space filling interval", "manifold",
+                        {"witness": str}),
+    "check": Command(cmd_check, "decide one filling slope", "manifold",
+                     {"slope": str, "witness": str}, ("slope",)),
+    "dtau": Command(cmd_dtau, "difference set listing", "manifold", {}),
+    "sfs": Command(cmd_sfs, "Seifert fibered classifier", "data", {"fiber": int}),
+    "glue": Command(cmd_glue, "torus gluing verdict", "data", {}),
+    "oracle": Command(cmd_oracle, "coloring oracle verdict", "manifold",
+                      {"mu": str, "nu": str, "window-scale": int}, ("nu",)),
+    "cfd": Command(cmd_cfd, "train-track graph (DOT)", "manifold",
+                   {"mu": str, "framing": str, "twist-compare": bool}),
+    "gst": Command(cmd_gst, "generalized solid torus report", "manifold", {}),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lspace",
@@ -179,53 +192,52 @@ def build_parser():
                     "gluings, and coloring oracles from torsion data")
     parser.add_argument("--batch", help="process one JSON request per line")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("interval", help="L-space filling interval")
-    p.add_argument("manifold")
-    p.add_argument("--witness")
-    p.set_defaults(func=cmd_interval)
-
-    p = sub.add_parser("check", help="decide one filling slope")
-    p.add_argument("manifold")
-    p.add_argument("--slope", required=True)
-    p.add_argument("--witness")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("dtau", help="difference set listing")
-    p.add_argument("manifold")
-    p.set_defaults(func=cmd_dtau)
-
-    p = sub.add_parser("sfs", help="Seifert fibered classifier")
-    p.add_argument("data")
-    p.add_argument("--fiber", type=int)
-    p.set_defaults(func=cmd_sfs)
-
-    p = sub.add_parser("glue", help="torus gluing verdict")
-    p.add_argument("data")
-    p.set_defaults(func=cmd_glue)
-
-    p = sub.add_parser("oracle", help="coloring oracle verdict")
-    p.add_argument("manifold")
-    p.add_argument("--mu")
-    p.add_argument("--nu", required=True)
-    p.add_argument("--window-scale", type=int, default=1)
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("cfd", help="train-track graph (DOT)")
-    p.add_argument("manifold")
-    p.add_argument("--mu")
-    p.add_argument("--framing")
-    p.add_argument("--twist-compare", action="store_true")
-    p.set_defaults(func=cmd_cfd)
-
-    p = sub.add_parser("gst", help="generalized solid torus report")
-    p.add_argument("manifold")
-    p.set_defaults(func=cmd_gst)
+    for name, command in COMMANDS.items():
+        # options not given stay out of the namespace, as out of a request
+        p = sub.add_parser(name, help=command.help,
+                           argument_default=argparse.SUPPRESS)
+        p.add_argument(command.input)
+        for option, kind in command.options.items():
+            if kind is bool:
+                p.add_argument("--" + option, action="store_true")
+            else:
+                p.add_argument("--" + option, type=kind,
+                               required=option in command.required)
 
     p = sub.add_parser("selftest", help="run the cross-validation corpus")
     p.add_argument("--full", action="store_true")
-    p.set_defaults(func=cmd_selftest)
     return parser
+
+
+def _option(kind, value):
+    """A request's option value as argparse reads "--name=value": str(value)
+    in the option's type.  A flag is the bare "--name", so only true."""
+    if (kind is bool) != (value is True):
+        raise ValueError(value)
+    return True if kind is bool else kind(str(value))
+
+
+def handle(request):
+    """Answer one request {"cmd": name, "input": document, "args": options}.
+
+    Returns (exit code, answer), the answer a dict or DOT text.  A request
+    whose command, option names or option values the table refuses is
+    answered ParseError."""
+    try:
+        command = COMMANDS[request["cmd"]]
+        args = request.get("args", {})
+        kwargs = {name.replace("-", "_"): _option(command.options[name], value)
+                  for name, value in args.items()}
+        if not set(command.required) <= set(args):
+            raise KeyError(command.required)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return 1, {"error": "ParseError"}
+    try:
+        return 0, command.handler(request.get("input", {}), **kwargs)
+    except HypothesisNotMet as exc:
+        return 2, {"error": exc.name, "message": str(exc)}
+    except LSpaceError as exc:
+        return 1, {"error": exc.name, "message": str(exc)}
 
 
 def _emit(doc, out):
@@ -235,65 +247,24 @@ def _emit(doc, out):
         out.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _run_single(args, out):
-    try:
-        doc = args.func(args)
-    except _ParseFailure as exc:
-        _emit(exc.detail, out)
-        return 1
-    except HypothesisNotMet as exc:
-        _emit({"error": exc.name, "message": str(exc)}, out)
-        return 2
-    except LSpaceError as exc:
-        _emit({"error": exc.name, "message": str(exc)}, out)
-        return 1
-    _emit(doc, out)
-    return 0
-
-
-BATCH_COMMANDS = {"interval", "check", "dtau", "sfs", "glue", "oracle",
-                  "cfd", "gst"}
-
-
 def _run_batch(path, out):
-    parser = build_parser()
     worst = 0
     with open(path) as fh:
         lines = [line.strip() for line in fh if line.strip()]
     for index, line in enumerate(lines):
         try:
-            request = json.loads(line)
-            cmd = request["cmd"]
-            if cmd not in BATCH_COMMANDS:
-                raise KeyError(cmd)
-            argv = [cmd, json.dumps(request.get("input", {}))]
-            for key, value in request.get("args", {}).items():
-                # one word per option, so a value such as "-1/1" stays a value
-                if value is True:
-                    argv.append("--%s" % key)
-                else:
-                    argv.append("--%s=%s" % (key, value))
-            args = parser.parse_args(argv)
-        except (json.JSONDecodeError, KeyError, SystemExit):
-            out.write(json.dumps({"index": index, "error": "ParseError"},
-                                 sort_keys=True) + "\n")
-            worst = max(worst, 1)
-            continue
-        import io
-        buf = io.StringIO()
-        code = _run_single(args, buf)
-        payload = buf.getvalue().rstrip("\n")
-        try:
-            body = json.loads(payload)
+            code, answer = handle(json.loads(line))
         except json.JSONDecodeError:
-            body = {"dot": payload}
-        body["index"] = index
-        out.write(json.dumps(body, sort_keys=True) + "\n")
+            code, answer = 1, {"error": "ParseError"}
+        if isinstance(answer, str):
+            answer = {"dot": answer.rstrip("\n")}
+        out.write(json.dumps(dict(answer, index=index), sort_keys=True) + "\n")
         worst = max(worst, code)
     return worst
 
 
-_SLOPE_FLAGS = {"--slope", "--witness", "--mu", "--nu", "--framing"}
+_SLOPE_FLAGS = {"--" + option for command in COMMANDS.values()
+                for option, kind in command.options.items() if kind is str}
 
 
 def _merge_slope_flags(argv):
@@ -319,10 +290,24 @@ def main(argv=None):
     args = parser.parse_args(_merge_slope_flags(list(argv)))
     if args.batch:
         return _run_batch(args.batch, sys.stdout)
-    if not getattr(args, "func", None):
+    if args.command is None:
         parser.print_help()
         return 1
-    return _run_single(args, sys.stdout)
+    if args.command == "selftest":
+        _emit(cmd_selftest(args), sys.stdout)
+        return 0
+    command = COMMANDS[args.command]
+    try:
+        document = _load_document(getattr(args, command.input))
+    except json.JSONDecodeError as exc:
+        _emit({"error": "ParseError", "message": exc.msg, "line": exc.lineno,
+               "column": exc.colno}, sys.stdout)
+        return 1
+    options = {key.replace("_", "-"): value for key, value in vars(args).items()
+               if key not in ("batch", "command", command.input)}
+    code, answer = handle({"cmd": args.command, "input": document, "args": options})
+    _emit(answer, sys.stdout)
+    return code
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ the package's central cross-validation.
 from functools import lru_cache
 
 from .abelian import ClassEncoding, canonical_longitude, quotient_by_relation
-from .errors import LongitudeFilling, NotFloerSimpleSlope
+from .errors import LongitudeFilling, MalformedInput, NotFloerSimpleSlope
 from .torsion import hfk_support, validate_manifold
 
 
@@ -247,8 +247,12 @@ def surgery_is_lspace_oracle(Y, mu, nu, window_scale=1):
     nu must not be the longitude; nu = mu returns True directly (the
     filling along mu is an L-space by hypothesis).  window_scale selects
     the implementation: 1 for the pair condition, >= 2 for the explicit
-    coset sweep with that window multiplier; verdicts never differ.
+    coset sweep with that window multiplier; verdicts never differ.  A
+    scale below 1 leaves the window no margin past the support and is
+    refused.
     """
+    if window_scale < 1:
+        raise MalformedInput("window scale must be at least 1, got %r" % (window_scale,))
     validate_manifold(Y)
     if nu.dot_l == 0:
         raise LongitudeFilling("the longitude filling is never an L-space here")

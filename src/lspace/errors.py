@@ -17,7 +17,8 @@ class LSpaceError(Exception):
 
 class MalformedInput(LSpaceError):
     """Outside input that cannot be read: a missing key, a value of the
-    wrong type or shape, a cyclic order below 2, or the slope 0/0."""
+    wrong type or shape, a cyclic order below 2, the slope 0/0, a fiber
+    index out of range or an oracle window scale below 1."""
 
 
 def reads_input(fn):
@@ -102,7 +103,17 @@ class IntegerFiberSlope(LSpaceError):
     """An exceptional fiber was given an integer filling slope."""
 
 
+class TooFewFibers(LSpaceError):
+    """A fiber's threshold pair needs at least two exceptional fibers."""
+
+
 # --- bordered invariants ---
+
+class InvalidFraming(LSpaceError):
+    """The framing (mu, lambda) gives no train-track graph: lambda must
+    pair with mu to +-1, with phi(iota(mu)) > 0 > phi(iota(lambda)) and a
+    twist that clears the support spread."""
+
 
 class NotGeneralizedSolidTorus(LSpaceError):
     """The record fails deg(reduced Alexander polynomial) < g, so the

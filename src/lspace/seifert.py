@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import IntegerFiberSlope, reads_input
+from .errors import IntegerFiberSlope, MalformedInput, TooFewFibers, reads_input
 
 
 @dataclass(frozen=True)
@@ -292,11 +292,13 @@ def sfs_fiber_interval(d, j):
     rj/sj >= second threshold, where the thresholds are the min/max sides
     evaluated without the j-th fiber (s = lcm of the other denominators).
     """
+    if d.n < 2:
+        raise TooFewFibers("need at least two exceptional fibers")
+    if j not in range(d.n):
+        raise MalformedInput("fiber index %r is not in 0..%d" % (j, d.n - 1))
     if not d.is_normalized():
         d, _ = sfs_normalize(d)
     others = tuple(f for i, f in enumerate(d.fibers) if i != j)
-    if not others:
-        raise ValueError("need at least two exceptional fibers")
     s = lcm(*[sd for _, sd in others])
     if s == 1:
         raise IntegerFiberSlope("remaining fibers must be noninteger")

@@ -1,7 +1,10 @@
+import pytest
+
 from lspace.abelian import Slope
 from lspace.cfd import (build_cfd, cfd_to_dot, cfd_twist_compare,
                         euler_count_check)
 from lspace.corpus import (n_g, negative_trefoil, solid_torus, t25, trefoil)
+from lspace.errors import InvalidFraming
 from lspace.torsion import filling_homology_order
 
 
@@ -42,6 +45,12 @@ def test_framing_stability():
     assert len(b2.graph.v0) == len(b1.graph.v0)
     assert b2.graph.arrow_counts()["D1"] == b1.graph.arrow_counts()["D1"]
     assert all(v == 2 for v in b2.graph.valences().values())
+
+
+@pytest.mark.parametrize("mu", [None, Slope(5, 1)])
+def test_framing_refused_by_name(mu):
+    with pytest.raises(InvalidFraming):
+        build_cfd(trefoil(), mu=mu, lam=Slope(1, 1))
 
 
 def test_twist_compare_family():

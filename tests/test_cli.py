@@ -217,3 +217,80 @@ def test_batch_answers_lines_after_malformed(tmp_path):
     assert [r["index"] for r in rows] == [0, 1, 2]
     assert rows[0]["error"] == rows[1]["error"] == "MalformedInput"
     assert rows[2]["kind"] == "closed"
+
+
+def _run_batch_lines(tmp_path, lines):
+    batch = tmp_path / "requests.jsonl"
+    batch.write_text("\n".join(lines) + "\n")
+    code, out = run_cli("--batch", str(batch))
+    return code, [json.loads(line) for line in out.strip().splitlines()]
+
+
+NOT_REQUESTS = ['[1, 2]', '"x"', '{"cmd": ["a"]}', '{"cmd": "interval", "args": [1]}']
+
+
+@pytest.mark.parametrize("line", NOT_REQUESTS)
+def test_batch_line_not_a_request(tmp_path, line):
+    good = json.dumps({"cmd": "interval", "input": _trefoil_with()})
+    code, rows = _run_batch_lines(tmp_path, [line, good])
+    assert code == 1
+    assert rows[0] == {"error": "ParseError", "index": 0}
+    assert rows[1] == {"kind": "closed", "lo": "1/1", "hi": "1/0", "index": 1}
+
+
+REFUSED_ARGS = {
+    "missing-required": ("check", {}),
+    "unknown-option": ("check", {"slope": "2/1", "extra": "1"}),
+    "underscore-name": ("oracle", {"nu": "2/1", "window_scale": 2}),
+    "value-for-flag": ("cfd", {"twist-compare": "true"}),
+    "flag-for-value": ("check", {"slope": True}),
+    "not-an-int": ("oracle", {"nu": "2/1", "window-scale": 2.0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_ARGS))
+def test_batch_refuses_options_as_the_command_line_does(tmp_path, case):
+    cmd, args = REFUSED_ARGS[case]
+    line = json.dumps({"cmd": cmd, "input": _trefoil_with(), "args": args})
+    code, rows = _run_batch_lines(tmp_path, [line])
+    assert code == 1
+    assert rows == [{"error": "ParseError", "index": 0}]
+
+
+def test_batch_reads_option_values_as_strings(tmp_path):
+    lines = [json.dumps({"cmd": "oracle", "input": _trefoil_with(),
+                         "args": {"nu": "5/2", "window-scale": scale}})
+             for scale in (2, "2")]
+    code, rows = _run_batch_lines(tmp_path, lines)
+    _, single = run_cli("oracle", str(DATA / "trefoil.json"), "--nu", "5/2",
+                        "--window-scale", "2")
+    assert code == 0
+    assert rows == [dict(json.loads(single), index=i) for i in (0, 1)]
+
+
+@pytest.mark.parametrize("argv", [("--framing", "1/1"),
+                                  ("--mu", "5/1", "--framing", "1/1")],
+                         ids=["auto-mu", "pairing-4"])
+def test_cfd_bad_framing_is_named(argv):
+    code, out = run_cli("cfd", str(DATA / "trefoil.json"), *argv)
+    assert code == 1
+    assert json.loads(out)["error"] == "InvalidFraming"
+
+
+@pytest.mark.parametrize("data,fiber,error", [
+    ('{"e0":0,"fibers":[[1,2],[1,3]]}', "-1", "MalformedInput"),
+    ('{"e0":0,"fibers":[[1,2],[1,3]]}', "2", "MalformedInput"),
+    ('{"e0":0,"fibers":[[1,2]]}', "0", "TooFewFibers"),
+], ids=["negative", "past-end", "one-fiber"])
+def test_sfs_fiber_out_of_range(data, fiber, error):
+    code, out = run_cli("sfs", data, "--fiber", fiber)
+    assert code == 1
+    assert json.loads(out)["error"] == error
+
+
+@pytest.mark.parametrize("scale", ["0", "-1"])
+def test_oracle_window_scale_below_one(scale):
+    code, out = run_cli("oracle", str(DATA / "trefoil.json"), "--nu", "2/1",
+                        "--window-scale", scale)
+    assert code == 1
+    assert json.loads(out)["error"] == "MalformedInput"

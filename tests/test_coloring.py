@@ -3,7 +3,7 @@ import pytest
 from lspace.abelian import GroupElement, Slope
 from lspace.coloring import color, simple_knot_support, surgery_is_lspace_oracle
 from lspace.corpus import n_g, random_records, solid_torus, t25, trefoil
-from lspace.errors import LongitudeFilling, NotFloerSimpleSlope
+from lspace.errors import LongitudeFilling, MalformedInput, NotFloerSimpleSlope
 from lspace.interval import is_lspace_slope
 from lspace.selftest import all_slopes, valid_witnesses
 from lspace.torsion import filling_homology_order, hfk_support
@@ -33,6 +33,12 @@ def test_oracle_examples():
         surgery_is_lspace_oracle(trefoil(), Slope(3, 1), Slope(0, 1))
     with pytest.raises(NotFloerSimpleSlope):
         surgery_is_lspace_oracle(trefoil(), Slope(1, 0), Slope(5, 1))
+
+
+@pytest.mark.parametrize("scale", [0, -1])
+def test_oracle_refuses_window_scale_below_one(scale):
+    with pytest.raises(MalformedInput):
+        surgery_is_lspace_oracle(trefoil(), Slope(3, 1), Slope(2, 1), window_scale=scale)
 
 
 def test_black_count_matches_homology():

@@ -1,7 +1,8 @@
 """Byte-for-byte CLI output on the sample records in tests/data.
 
 Each case names one command line; tests/data/golden/<case>.out holds its
-standard output and exit_codes.json its exit code.
+standard output and exit_codes.json its exit code.  All the cases sent as
+one --batch file must give the same documents, each tagged with its index.
 """
 
 import io
@@ -70,3 +71,37 @@ def test_golden_output(case):
     codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     assert code == codes[case]
     assert out == (GOLDEN / ("%s.out" % case)).read_text()
+
+
+def _request(argv):
+    """The --batch request for a golden command line."""
+    cmd, path, *rest = argv
+    args, i = {}, 0
+    while i < len(rest):
+        if i + 1 < len(rest) and not rest[i + 1].startswith("--"):
+            args[rest[i][2:]] = rest[i + 1]
+            i += 2
+        else:
+            args[rest[i][2:]] = True
+            i += 1
+    return {"cmd": cmd, "input": json.loads((DATA / path).read_text()), "args": args}
+
+
+def test_batch_matches_single_commands(tmp_path):
+    names = sorted(CASES)
+    batch = tmp_path / "golden.jsonl"
+    batch.write_text("".join(json.dumps(_request(CASES[n])) + "\n" for n in names))
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["--batch", str(batch)])
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert code == max(codes[n] for n in names)
+    rows = [json.loads(line) for line in buf.getvalue().splitlines()]
+    assert len(rows) == len(names)
+    for index, (name, row) in enumerate(zip(names, rows)):
+        single = (GOLDEN / ("%s.out" % name)).read_text()
+        if single.startswith("digraph"):
+            expected = {"dot": single.rstrip("\n")}
+        else:
+            expected = json.loads(single)
+        assert row == dict(expected, index=index), name

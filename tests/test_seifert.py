@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from lspace.errors import IntegerFiberSlope
+from lspace.errors import IntegerFiberSlope, MalformedInput, TooFewFibers
 from lspace.seifert import (SeifertData, sfs_dtau, sfs_fiber_interval,
                             sfs_flip, sfs_higher_genus_is_lspace,
                             sfs_is_lspace, sfs_is_lspace_via_dtau,
@@ -101,6 +101,17 @@ def test_dtau_235():
     assert sfs_is_lspace_via_dtau(M(0, (1, 2), (1, 3), (1, 5)))
     assert (1, 29, 29) in retained
     assert max_delta == 29
+
+
+@pytest.mark.parametrize("j", [-1, 2, 5])
+def test_fiber_interval_index_out_of_range(j):
+    with pytest.raises(MalformedInput):
+        sfs_fiber_interval(M(0, (1, 2), (1, 3)), j)
+
+
+def test_fiber_interval_needs_two_fibers():
+    with pytest.raises(TooFewFibers):
+        sfs_fiber_interval(M(0, (1, 2)), 0)
 
 
 def test_fiber_interval_thresholds():
