@@ -9,6 +9,7 @@ is exact (Python big integers and fractions.Fraction); no floating point
 is used anywhere.
 """
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -328,19 +329,11 @@ class Slope:
         """Pairing with the longitude: mu . l = a."""
         return self.a
 
-    @property
-    def value(self):
-        """The slope as a point of Q u {oo}: a/b, with oo for b = 0."""
-        if self.b == 0:
-            return None
-        return Fraction(self.a, self.b)
-
     def __str__(self):
         return "%d/%d" % (self.a, self.b)
 
 
 LONGITUDE = Slope(0, 1)
-MERIDIAN_DIRECTION = Slope(1, 0)
 
 
 def pairing_and_label(mu_L, mu):
@@ -369,17 +362,41 @@ def canonical_longitude(mu):
     return Slope(q_star, p_star), q_star, p_star
 
 
-def primitive_slope_qs(p, bound):
-    """The q of the primitive slopes p/q with |q| <= bound, for fixed
+def primitive_slope_qs(p, lo, hi):
+    """The q of the primitive slopes p/q with lo <= q <= hi, for fixed
     p >= 1, by increasing |q| with q before -q.
 
     Slope(p, q) is already normalized for every q yielded.
     """
-    for absq in range(bound + 1):
+    if lo > hi:
+        return
+    for absq in range(0 if lo <= 0 <= hi else min(abs(lo), abs(hi)),
+                      max(abs(lo), abs(hi)) + 1):
         if gcd(p, absq) == 1:
-            yield absq
-            if absq:
+            if absq <= hi:
+                yield absq
+            if absq and -absq >= lo:
                 yield -absq
+
+
+def window_slope_qs(p, windows, period):
+    """The q of the primitive slopes p/q in the disjoint integer ranges
+    windows (None for an unbounded end), in the order of
+    primitive_slope_qs.
+
+    An unbounded end is cut one period past the finite end, or past 0.
+    No q is lost for a test periodic in q with that period: a q beyond
+    the cut passes it exactly when q - period (q + period on the negative
+    side) does, and that q comes first in the order.
+    """
+    walks = []
+    for lo, hi in windows:
+        if lo is None:
+            lo = min(0, 0 if hi is None else hi) - period
+        if hi is None:
+            hi = max(0, lo) + period
+        walks.append(primitive_slope_qs(p, lo, hi))
+    return heapq.merge(*walks, key=lambda q: (abs(q), q < 0))
 
 
 # --- gluing matrices ------------------------------------------------------

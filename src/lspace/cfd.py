@@ -16,8 +16,9 @@ a label-preserving isomorphism.
 """
 
 from dataclasses import dataclass
+from math import lcm
 
-from .abelian import GroupElement, Slope, canonical_longitude, primitive_slope_qs
+from .abelian import GroupElement, Slope, canonical_longitude, window_slope_qs
 from .errors import (InvalidFraming, LSpaceError, MissingWitness,
                      NotGeneralizedSolidTorus)
 from .interval import lspace_interval
@@ -69,10 +70,9 @@ def _auto_mu(Y, witness):
     for p in range(1, 64):
         if p * rep.g <= norm:
             continue
-        for q in primitive_slope_qs(p, 3 * 64):
+        # iota(p m + q l) depends on q only mod g, and primitivity mod p
+        for q in window_slope_qs(p, interval.q_ranges(p), lcm(p, rep.g)):
             s = Slope(p, q)
-            if not interval.contains(s):
-                continue
             try:
                 hfk_support(Y, s)
             except LSpaceError:

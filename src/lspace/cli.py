@@ -4,7 +4,8 @@ Inputs are file paths or inline JSON documents.  All rationals are
 serialized as "numerator/denominator" strings; slopes use the (m, l)
 Dehn-filling basis with the sign normalization.  Exit codes: 0 on
 success, 1 on validation errors (the error class name is reported
-verbatim in the "error" field), 2 when the gluing hypothesis is not met.
+verbatim in the "error" field), on a file that cannot be read and on a
+failed selftest, 2 when the gluing hypothesis is not met.
 Every subcommand but selftest is one row of COMMANDS, and handle()
 answers it alike for the command line and for each --batch line.
 """
@@ -19,7 +20,7 @@ from fractions import Fraction
 from .abelian import Slope
 from .cfd import build_cfd, cfd_to_dot, cfd_twist_compare
 from .coloring import surgery_is_lspace_oracle
-from .errors import HypothesisNotMet, LSpaceError, reads_input
+from .errors import HypothesisNotMet, LSpaceError, MalformedInput, reads_input
 from .gluing import (condition_systems, judicious_slope, splice_from_json,
                      splice_is_lspace)
 from .interval import (check_corollary_consistency, is_lspace_slope,
@@ -32,9 +33,15 @@ from .torsion import (dtau, manifold_from_json, milnor_invariants,
 
 def _load_document(arg):
     if os.path.exists(arg):
-        with open(arg) as fh:
+        with open(arg, encoding="utf-8") as fh:
             return json.load(fh)
     return json.loads(arg)
+
+
+def _unreadable(exc):
+    """The answer to a file that cannot be read: MalformedInput."""
+    return {"error": MalformedInput.__name__,
+            "message": "%s: %s" % (type(exc).__name__, exc)}
 
 
 @reads_input
@@ -249,8 +256,12 @@ def _emit(doc, out):
 
 def _run_batch(path, out):
     worst = 0
-    with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        _emit(_unreadable(exc), out)
+        return 1
     for index, line in enumerate(lines):
         try:
             code, answer = handle(json.loads(line))
@@ -294,14 +305,18 @@ def main(argv=None):
         parser.print_help()
         return 1
     if args.command == "selftest":
-        _emit(cmd_selftest(args), sys.stdout)
-        return 0
+        answer = cmd_selftest(args)
+        _emit(answer, sys.stdout)
+        return 0 if answer["ok"] else 1
     command = COMMANDS[args.command]
     try:
         document = _load_document(getattr(args, command.input))
     except json.JSONDecodeError as exc:
         _emit({"error": "ParseError", "message": exc.msg, "line": exc.lineno,
                "column": exc.colno}, sys.stdout)
+        return 1
+    except (OSError, UnicodeDecodeError) as exc:
+        _emit(_unreadable(exc), sys.stdout)
         return 1
     options = {key.replace("_", "-"): value for key, value in vars(args).items()
                if key not in ("batch", "command", command.input)}

@@ -188,7 +188,7 @@ def random_records(seed, count=5, max_torsion=4, max_degree=5):
                 milnor_invariants(Y)
             except (LSpaceError, ValueError):
                 continue
-            slopes = (Slope(p, q) for p in range(1, 13) for q in primitive_slope_qs(p, 12))
+            slopes = (Slope(p, q) for p in range(1, 13) for q in primitive_slope_qs(p, -12, 12))
             w = next((s for s in slopes if is_valid_witness(Y, s)), None)
             if w is None:
                 continue

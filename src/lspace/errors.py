@@ -97,6 +97,12 @@ class NotRationalHomologySphere(LSpaceError):
     is definitely not an L-space."""
 
 
+class SearchExhausted(LSpaceError):
+    """A bounded search of the gluing routes ended without an answer: no
+    judicious slope with p1 <= 400 in either encoding, or a principal gap
+    piece that did not stabilize within eight doublings."""
+
+
 # --- Seifert data ---
 
 class IntegerFiberSlope(LSpaceError):

@@ -22,13 +22,15 @@ instances.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .abelian import (FinAbGroup, GluingMatrix, GroupElement, Slope,
-                      canonical_longitude, primitive_slope_qs,
-                      quotient_by_relation)
-from .errors import HypothesisNotMet, NotRationalHomologySphere, reads_input
+                      canonical_longitude, quotient_by_relation,
+                      window_slope_qs)
+from .errors import (HypothesisNotMet, NotRationalHomologySphere,
+                     SearchExhausted, reads_input)
 from .interval import lspace_interval, validate_witness
+from .projline import meet_ranges
 from .torsion import (FloerSimpleManifold, conj_record, dtau, reversed_encoding,
                       tauc_degree, validate_manifold)
 
@@ -157,15 +159,19 @@ class JudiciousSlope:
         return self.q2_star % self.p2
 
 
-def judicious_slope(prob, max_p=400):
+# the judicious search tries p1 up to this bound in each encoding
+JUDICIOUS_MAX_P = 400
+
+
+def judicious_slope(prob):
     """Deterministic judicious splice meridian.
 
     Searches slopes mu1 = p1 m1 + q1 l1 by increasing p1, then |q1|, then
-    positive sign (with |q1| capped proportionally to p1), for the first
-    slope inside the overlap region whose image has p2 > 0 and which
-    satisfies all coprimality and size constraints.  When every overlap
-    slope has p2 < 0 the second side's basis is negated first (with the
-    q* sign repaired).
+    positive sign, for the first slope inside the overlap region whose
+    image has p2 > max(q*, bound) and which satisfies the coprimality
+    constraints.  When no such slope has p1 <= JUDICIOUS_MAX_P, the second
+    side's basis is negated (with the q* sign repaired) and the search
+    runs again.
     """
     prob, transcript = normalize_splice(prob)
     i1_int, pulled = overlap_region(prob)
@@ -175,18 +181,13 @@ def judicious_slope(prob, max_p=400):
     variants = [(prob, tuple(transcript)),
                 (_conj_problem(_reverse_side2(prob)),
                  tuple(transcript) + (flip_note,))]
-    found = None
-    for p_hi in (64, max_p):
-        for cand_prob, cand_transcript in variants:
-            hit = _scan_judicious(cand_prob, p_hi)
-            if hit is not None:
-                prob, transcript = cand_prob, cand_transcript
-                found = hit
-                break
+    for prob, transcript in variants:
+        found = _scan_judicious(prob)
         if found is not None:
             break
-    if found is None:
-        raise RuntimeError("judicious search bound exhausted")
+    else:
+        raise SearchExhausted("no judicious slope with p1 <= %d in either encoding"
+                              % JUDICIOUS_MAX_P)
     p1, q1, p2, q2 = found
     # canonical longitude on side one; side two longitude is -phi(lambda1)
     lam1, q1s, p1s = canonical_longitude(Slope(p1, q1))
@@ -200,30 +201,32 @@ def judicious_slope(prob, max_p=400):
                           q1_star=q1s, p1_star=p1s, q2_star=q2s, p2_star=p2s,
                           q_star=prob.phi.q_star, g1=validate_manifold(prob.y1).g,
                           g2=validate_manifold(prob.y2).g,
-                          transcript=tuple(transcript))
+                          transcript=transcript)
 
 
-def _scan_judicious(prob, p_hi):
+def _scan_judicious(prob):
     i1_int, pulled = overlap_region(prob)
     if not i1_int.intersects(pulled):
         return None
     phi = prob.phi
-    q_star = phi.q_star
+    q_star = phi.q_star  # > 0 in both encodings
     g1 = validate_manifold(prob.y1).g
     g2 = validate_manifold(prob.y2).g
-    bound = (1 + tauc_degree(prob.y1)) * (1 + tauc_degree(prob.y2))
-    q_cap = 2 * max(abs(phi.e11), abs(phi.e12), abs(phi.e21), abs(phi.e22), 2) + 2
-    for p1 in range(max(q_star, bound) + 1, p_hi + 1):
-        for q1 in primitive_slope_qs(p1, q_cap * p1 + q_cap):
+    floor_p2 = max(q_star, (1 + tauc_degree(prob.y1)) * (1 + tauc_degree(prob.y2)))
+    for p1 in range(floor_p2 + 1, JUDICIOUS_MAX_P + 1):
+        # gcd(p1, g2) = 1, and gcd(p1, p2) = gcd(p1, q* q1) = 1 once q1 is
+        # prime to p1
+        if gcd(p1, q_star * g2) != 1:
+            continue
+        # p2 = e11 p1 - q* q1 > floor_p2
+        above = [(None, (phi.e11 * p1 - floor_p2 - 1) // q_star)]
+        windows = meet_ranges(meet_ranges(i1_int.q_ranges(p1), pulled.q_ranges(p1)),
+                              above)
+        # gcd(p1, q1) and gcd(p2, g1) depend on q1 only mod lcm(p1, g1)
+        for q1 in window_slope_qs(p1, windows, lcm(p1, g1)):
             p2, q2 = phi.apply_raw(p1, q1)
-            if p2 <= q_star or p2 <= bound:
-                continue
-            if gcd(p1, p2) != 1 or gcd(p1, g2) != 1 or gcd(p2, g1) != 1:
-                continue
-            mu1 = Slope(p1, q1)
-            if not (i1_int.contains(mu1) and pulled.contains(mu1)):
-                continue
-            return (p1, q1, p2, q2)
+            if gcd(p2, g1) == 1:
+                return (p1, q1, p2, q2)
     return None
 
 
@@ -483,7 +486,7 @@ def _principal_gap_piece(group, Y2, f2, box1):
         if all(h.free < slab_lo for h in missing):
             return missing
         bound *= 2
-    raise RuntimeError("principal gap piece did not stabilize")
+    raise SearchExhausted("principal gap piece did not stabilize")
 
 
 def splice_equivalence(prob):

@@ -104,6 +104,38 @@ class ProjInterval:
             return self.hi_closed
         return ccw(self.lo, s, self.hi) > 0
 
+    def q_ranges(self, p):
+        """The q with p/q in the set, for fixed p >= 1: at most two
+        disjoint integer ranges (lo, hi), lowest first, with None for an
+        unbounded end.
+
+        p/q is inside an arc exactly when det(lo, s) * det(s, hi) has the
+        sign of det(hi, lo) for s = (p, q), and both determinants are
+        linear in q; a zero of one is the endpoint itself."""
+        if self.kind == _EMPTY:
+            return []
+        if self.kind == _EVERYTHING:
+            return [(None, None)]
+        if self.kind in (_POINT, _COMPLEMENT):
+            a, b = self.lo.a, self.lo.b
+            if a == 0 or (p * b) % a:
+                # no p/q equals the point
+                return [] if self.kind == _POINT else [(None, None)]
+            q = p * b // a
+            if self.kind == _POINT:
+                return [(q, q)]
+            return [(None, q - 1), (q + 1, None)]
+        lo, hi = self.lo, self.hi
+        c = 1 if _det(hi, lo) > 0 else -1
+        ranges = []
+        for s_lo, s_hi in ((1, c), (-1, -c)):
+            # s_lo * det(lo, s) > 0 and s_hi * det(s, hi) > 0, or = 0 at a closed end
+            r = _meet(_positive_q(s_lo * lo.a, -s_lo * p * lo.b, self.lo_closed),
+                      _positive_q(-s_hi * hi.a, s_hi * p * hi.b, self.hi_closed))
+            if r is not None:
+                ranges.append(r)
+        return sorted(ranges, key=lambda r: (r[0] is not None, r[0] or 0))
+
     # --- unary operations ---
 
     def complement(self):
@@ -199,6 +231,30 @@ class ProjInterval:
 
     def same_points(self, other):
         return self.is_subset(other) and other.is_subset(self)
+
+
+def _positive_q(u, v, closed):
+    """The q with u*q + v > 0 (>= 0 when closed) as a range (lo, hi),
+    None for an unbounded end, or None when there is no such q."""
+    if u == 0:
+        return (None, None) if v > 0 or (closed and v == 0) else None
+    if u > 0:
+        return (-(v // u) if closed else (-v) // u + 1, None)
+    return (None, v // -u if closed else -((-v) // -u) - 1)
+
+
+def _meet(r1, r2):
+    """The intersection of two integer ranges, or None when it is empty."""
+    if r1 is None or r2 is None:
+        return None
+    lo = max((x for x in (r1[0], r2[0]) if x is not None), default=None)
+    hi = min((x for x in (r1[1], r2[1]) if x is not None), default=None)
+    return None if None not in (lo, hi) and lo > hi else (lo, hi)
+
+
+def meet_ranges(a, b):
+    """The intersection of two lists of disjoint integer ranges."""
+    return [r for r in (_meet(x, y) for x in a for y in b) if r is not None]
 
 
 def _pick_cut(avoid):

@@ -57,10 +57,6 @@ def sfs_from_json(doc):
     return SeifertData(e0=doc["e0"], fibers=tuple((r, s) for r, s in doc["fibers"]))
 
 
-def sfs_to_json(d):
-    return {"e0": d.e0, "fibers": [[r, s] for r, s in d.fibers]}
-
-
 def sfs_normalize(d):
     """Reduce every fiber slope into (0, 1), absorbing integer parts into
     e0, and return (normalized data, transcript of the shifts applied)."""

@@ -40,7 +40,7 @@ def all_slopes(bound):
     """The longitude, then every slope a/b with 1 <= a <= bound and
     |b| <= bound, by a and then b."""
     return [LONGITUDE] + [Slope(a, b) for a in range(1, bound + 1)
-                          for b in sorted(primitive_slope_qs(a, bound))]
+                          for b in sorted(primitive_slope_qs(a, -bound, bound))]
 
 
 def valid_witnesses(Y, bound):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from lspace.abelian import (ClassEncoding, FinAbGroup, GluingMatrix,
                             GroupElement, Slope, canonical_longitude,
                             pairing_and_label, primitive_slope_qs,
-                            smith_normal_form, snf_invariant_factors)
+                            smith_normal_form, snf_invariant_factors,
+                            window_slope_qs)
 from lspace.errors import DeterminantError
 
 
@@ -215,8 +216,20 @@ def test_class_encoding_matches_group():
 
 
 def test_primitive_slope_qs_order():
-    assert list(primitive_slope_qs(1, 2)) == [0, 1, -1, 2, -2]
-    assert list(primitive_slope_qs(4, 5)) == [1, -1, 3, -3, 5, -5]
+    assert list(primitive_slope_qs(1, -2, 2)) == [0, 1, -1, 2, -2]
+    assert list(primitive_slope_qs(4, -5, 5)) == [1, -1, 3, -3, 5, -5]
+    assert list(primitive_slope_qs(3, -4, 7)) == [1, -1, 2, -2, 4, -4, 5, 7]
+    assert list(primitive_slope_qs(2, -9, -4)) == [-5, -7, -9]
+    assert list(primitive_slope_qs(2, 3, 1)) == []
+
+
+def test_window_slope_qs_merges_and_cuts():
+    # (None, -3) and (2, None) cut one period (6) past -3 and past 2
+    windows = [(None, -3), (2, None)]
+    assert list(window_slope_qs(5, windows, 6)) == [
+        2, 3, -3, 4, -4, 6, -6, 7, -7, 8, -8, -9]
+    assert list(window_slope_qs(1, [(None, None)], 2)) == [0, 1, -1, 2, -2]
+    assert list(window_slope_qs(1, [], 2)) == []
 
 
 @given(slopes)

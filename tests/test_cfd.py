@@ -5,7 +5,7 @@ from lspace.cfd import (build_cfd, cfd_to_dot, cfd_twist_compare,
                         euler_count_check)
 from lspace.corpus import (n_g, negative_trefoil, solid_torus, t25, trefoil)
 from lspace.errors import InvalidFraming
-from lspace.torsion import filling_homology_order
+from lspace.torsion import filling_homology_order, retwist
 
 
 def test_figure_reproduction():
@@ -45,6 +45,16 @@ def test_framing_stability():
     assert len(b2.graph.v0) == len(b1.graph.v0)
     assert b2.graph.arrow_counts()["D1"] == b1.graph.arrow_counts()["D1"]
     assert all(v == 2 for v in b2.graph.valences().values())
+
+
+@pytest.mark.parametrize("piece,k,sizes", [(t25, 70, (4, 9)), (trefoil, 100, (2, 5))],
+                         ids=["t25", "trefoil"])
+def test_auto_framing_covariant_under_retwist(piece, k, sizes):
+    # the untwisted records take mu = 4/1 and 2/1; in the basis
+    # (m + k l, l) that slope is 4/(1 - 4k) and 2/(1 - 2k)
+    for Y in (piece(), retwist(piece(), k)):
+        b = build_cfd(Y)
+        assert (len(b.graph.v0), len(b.graph.v1)) == sizes
 
 
 @pytest.mark.parametrize("mu", [None, Slope(5, 1)])

@@ -294,3 +294,60 @@ def test_oracle_window_scale_below_one(scale):
                         "--window-scale", scale)
     assert code == 1
     assert json.loads(out)["error"] == "MalformedInput"
+
+
+def test_selftest_exit_code_on_failure(monkeypatch):
+    import lspace.selftest
+    from lspace.selftest import CriterionResult
+    monkeypatch.setattr(lspace.selftest, "run_selftest",
+                        lambda **kwargs: [CriterionResult("broken", False, "", 0.0)])
+    code, out = run_cli("selftest")
+    assert code == 1
+    assert json.loads(out) == {"passed": 0, "failed": 1, "ok": False}
+
+
+def test_batch_file_missing(tmp_path):
+    code, out = run_cli("--batch", str(tmp_path / "missing.jsonl"))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "MalformedInput"
+    assert doc["message"].startswith("FileNotFoundError")
+
+
+def test_document_is_a_directory(tmp_path):
+    code, out = run_cli("dtau", str(tmp_path))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "MalformedInput"
+    assert doc["message"].startswith("IsADirectoryError")
+
+
+def test_batch_file_not_utf8(tmp_path):
+    path = tmp_path / "batch.jsonl"
+    path.write_bytes(b'\xff\xfe{"cmd": "dtau", "input": {}}\n')
+    code, out = run_cli("--batch", str(path))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "MalformedInput"
+    assert doc["message"].startswith("UnicodeDecodeError")
+
+
+def test_glue_retwisted_piece_finds_a_judicious_slope():
+    from lspace.corpus import trefoil
+    from lspace.torsion import manifold_to_json, retwist
+    doc = {"y1": manifold_to_json(retwist(trefoil(), 10)),
+           "y2": manifold_to_json(trefoil()), "phi": [[-1, 1], [0, 1]]}
+    code, out = run_cli("glue", json.dumps(doc))
+    assert code == 0
+    answer = json.loads(out)
+    assert answer["lspace"] is False
+    assert answer["judicious"]["mu1"] == "5/-46"
+    assert answer["conditions"]["L"] is False and answer["conditions"]["I"] is False
+
+
+def test_glue_search_exhausted_is_named(monkeypatch):
+    import lspace.gluing
+    monkeypatch.setattr(lspace.gluing, "JUDICIOUS_MAX_P", 1)
+    code, out = run_cli("glue", str(DATA / "glue_true.json"))
+    assert code == 1
+    assert json.loads(out)["error"] == "SearchExhausted"

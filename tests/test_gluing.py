@@ -9,7 +9,7 @@ from lspace.errors import HypothesisNotMet
 from lspace.gluing import (SpliceProblem, b_sets, condition_systems,
                            judicious_slope, splice_equivalence,
                            splice_is_lspace, spliced_manifold)
-from lspace.torsion import dtau, validate_manifold
+from lspace.torsion import dtau, retwist, validate_manifold
 
 
 def prob_trefoils(phi):
@@ -188,3 +188,37 @@ def test_a3_count_matches_compatible_pairs():
         a3 = [d for d in data.all if d.element in built.cross_piece]
         assert len(a3) == count_compatible_pairs(js)
         assert len(built.cross_piece) == len(dtau(js.problem.y1).all) * len(dtau(js.problem.y2).all)
+
+
+RETWIST_CASES = [
+    ("T23", "T23", [[-1, 1], [0, 1]]),
+    ("T25", "T23", [[1, -2], [0, -1]]),
+    ("T23", "N2", [[1, -3], [0, -1]]),
+    ("N2", "T23", [[1, 2], [1, 1]]),
+    ("N2", "N2", [[-1, -2], [-1, -1]]),
+]
+
+
+def _verdicts_or_none(prob):
+    try:
+        return splice_equivalence(prob)
+    except HypothesisNotMet:
+        return None
+
+
+@pytest.mark.parametrize("k", [-4, 3, 10])
+@pytest.mark.parametrize("name1,name2,rows", RETWIST_CASES,
+                         ids=["-".join(c[:2]) for c in RETWIST_CASES])
+def test_equivalence_covariant_under_retwist(name1, name2, rows, k):
+    # Y1 re-encoded with m1 -> m1 + k l1 and the gluing read in that basis
+    # is the same manifold; every route must give the untwisted verdict
+    named = {"T23": trefoil(), "T25": t25(), "N2": n_g(2)}
+    (m11, m12), (m21, m22) = rows
+    twisted = SpliceProblem(retwist(named[name1], k), named[name2],
+                            GluingMatrix(m11, m12, m21, m22))
+    untwisted = SpliceProblem(named[name1], named[name2],
+                              GluingMatrix(m11 - k * m12, m12, m21 - k * m22, m22))
+    verdicts = _verdicts_or_none(twisted)
+    assert verdicts == _verdicts_or_none(untwisted)
+    if verdicts is not None:
+        assert len(set(verdicts.values())) == 1, verdicts

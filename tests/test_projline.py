@@ -150,3 +150,34 @@ def test_gluing_interval_roundtrip(a, b, c, d, x1, y1, x2, y2, f1, f2):
     # membership is preserved pointwise
     for s in (Slope(0, 1), Slope(1, 0), Slope(1, 1), Slope(2, 3), Slope(-3, 1)):
         assert arc.contains(s) == apply_gluing(phi, arc).contains(phi.apply_slope(s))
+
+
+slope_coords = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda ab: ab != (0, 0))
+
+
+@st.composite
+def proj_sets(draw):
+    kind = draw(st.sampled_from(["arc", "point", "complement", "everything", "empty"]))
+    if kind == "everything":
+        return ProjInterval.everything()
+    if kind == "empty":
+        return ProjInterval.empty()
+    lo = Slope(*draw(slope_coords))
+    if kind == "point":
+        return ProjInterval.point(lo)
+    if kind == "complement":
+        return ProjInterval.complement_of_point(lo)
+    hi = Slope(*draw(slope_coords.filter(lambda ab: Slope(*ab) != lo)))
+    return ProjInterval.arc(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+@given(proj_sets(), st.integers(1, 12))
+def test_q_ranges_match_contains(iv, p):
+    ranges = iv.q_ranges(p)
+    assert len(ranges) <= 2
+    ends = [(-10**9 if lo is None else lo, 10**9 if hi is None else hi)
+            for lo, hi in ranges]
+    assert all(lo <= hi for lo, hi in ends)
+    assert all(a[1] < b[0] for a, b in zip(ends, ends[1:]))
+    for q in range(-50, 51):
+        assert any(lo <= q <= hi for lo, hi in ends) == iv.contains(Slope(p, q))
