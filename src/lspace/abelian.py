@@ -10,8 +10,10 @@ is used anywhere.
 """
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -259,10 +261,37 @@ def quotient_by_relation(blocks, relation, positive=None):
     return free_rank, orders, image
 
 
+def bitmask(bits):
+    """The int with the given bits set, built in time linear in its length
+    (OR-ing the bits in one by one takes quadratic time)."""
+    bits = list(bits)
+    if not bits:
+        return 0
+    digits = bytearray(b"0" * (max(bits) + 1))
+    for bit in bits:
+        digits[bit] = ord("1")
+    return int(digits[::-1], 2)
+
+
+@lru_cache(maxsize=None)
+def _rotation_masks(orders, factor, amount, levels):
+    """The classes, over free levels 0..levels-1, whose residue in the
+    given cyclic factor stays below its order after adding amount, and
+    the rest: one-level masks times the repunit of the levels."""
+    enc = ClassEncoding(orders)
+    n, w = orders[factor], enc.weights[factor]
+    low = sum(1 << i for i in range(enc.size) if i // w % n < n - amount)
+    repunit = ((1 << levels * enc.size) - 1) // ((1 << enc.size) - 1)
+    return low * repunit, ((1 << enc.size) - 1 - low) * repunit
+
+
 class ClassEncoding:
     """The classes of Z + T as integers free * |T| + tindex(torsion), with
     tindex the mixed-radix index of the torsion residues (the last order
-    varies fastest, as in FinAbGroup.torsion_elements)."""
+    varies fastest, as in FinAbGroup.torsion_elements).
+
+    A set of classes of nonnegative free part is a bitmask: one Python int
+    with bit free * |T| + tindex set for each member."""
 
     def __init__(self, orders):
         self.orders = tuple(orders)
@@ -293,6 +322,31 @@ class ClassEncoding:
                 shifted += ((c + t) % n) * w
             table.append(shifted)
         return table
+
+    def translate(self, mask, h, levels):
+        """The bitmask of the classes x + h for x in mask, dropping those
+        of negative free part.  mask must lie in free levels
+        0..levels-1; each cyclic factor rotates by two masked shifts."""
+        size = self.size
+        if h.free < 0:
+            mask >>= -h.free * size
+        for factor, (n, w, t) in enumerate(zip(self.orders, self.weights, h.torsion)):
+            t %= n
+            if t:
+                low, high = _rotation_masks(self.orders, factor, t, levels)
+                mask = (mask & low) << t * w | (mask & high) >> (n - t) * w
+        return mask << h.free * size if h.free > 0 else mask
+
+    def classes(self, mask):
+        """The classes of a bitmask, in increasing bit order."""
+        torsions = list(itertools.product(*map(range, self.orders)))
+        digits = bin(mask)[:1:-1]
+        out = []
+        bit = digits.find("1")
+        while bit >= 0:
+            out.append(GroupElement(bit // self.size, torsions[bit % self.size]))
+            bit = digits.find("1", bit + 1)
+        return out
 
 
 # --- slopes ---------------------------------------------------------------

@@ -11,6 +11,7 @@ answers it alike for the command line and for each --batch line.
 """
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -32,9 +33,14 @@ from .torsion import (dtau, manifold_from_json, milnor_invariants,
 
 
 def _load_document(arg):
+    """A document given as a file path or as inline JSON text.  An
+    argument that is neither an existing path nor text opening a JSON
+    object, list or string is taken for a mistyped path."""
     if os.path.exists(arg):
         with open(arg, encoding="utf-8") as fh:
             return json.load(fh)
+    if not arg.lstrip().startswith(("{", "[", '"')):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), arg)
     return json.loads(arg)
 
 

@@ -103,6 +103,13 @@ class SearchExhausted(LSpaceError):
     piece that did not stabilize within eight doublings."""
 
 
+class InvariantViolation(LSpaceError):
+    """An identity that the gluing construction relies on failed: a
+    Bezout relation of the splice slopes, the rank or orientation of the
+    spliced group, or a support piece with a repeated class.  These are
+    checked as named errors, not assertions, so python -O keeps them."""
+
+
 # --- Seifert data ---
 
 class IntegerFiberSlope(LSpaceError):

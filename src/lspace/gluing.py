@@ -24,15 +24,22 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .abelian import (FinAbGroup, GluingMatrix, GroupElement, Slope,
-                      canonical_longitude, quotient_by_relation,
-                      window_slope_qs)
-from .errors import (HypothesisNotMet, NotRationalHomologySphere,
-                     SearchExhausted, reads_input)
+from .abelian import (ClassEncoding, FinAbGroup, GluingMatrix, GroupElement,
+                      Slope, bitmask, canonical_longitude,
+                      quotient_by_relation, window_slope_qs)
+from .errors import (HypothesisNotMet, InvariantViolation,
+                     NotRationalHomologySphere, SearchExhausted, reads_input)
 from .interval import lspace_interval, validate_witness
 from .projline import meet_ranges
 from .torsion import (FloerSimpleManifold, conj_record, dtau, reversed_encoding,
                       tauc_degree, validate_manifold)
+
+
+def _require(holds, message):
+    """Check an invariant of the construction; unlike assert, python -O
+    keeps it."""
+    if not holds:
+        raise InvariantViolation(message)
 
 
 @dataclass(frozen=True)
@@ -193,8 +200,9 @@ def judicious_slope(prob):
     lam1, q1s, p1s = canonical_longitude(Slope(p1, q1))
     lx, ly = prob.phi.apply_raw(lam1.a, lam1.b)
     q2s, p2s = -lx, -ly
-    assert p2 * p2s - q2 * q2s == 1
-    assert q1s * p2 + q2s * p1 == prob.phi.q_star
+    _require(p2 * p2s - q2 * q2s == 1, "mu2 . lambda2 is not 1")
+    _require(q1s * p2 + q2s * p1 == prob.phi.q_star,
+             "the splice longitudes do not pair to q*")
     return JudiciousSlope(problem=prob, mu1=Slope(p1, q1), mu2=Slope(p2, q2),
                           lambda1=lam1, lambda2=(q2s, p2s),
                           p1=p1, q1=q1, p2=p2, q2=q2,
@@ -319,7 +327,7 @@ def condition_systems(js):
 
 def _crt(b1, m1, b2, m2):
     g0 = gcd(m1, m2)
-    assert (b1 - b2) % g0 == 0
+    _require((b1 - b2) % g0 == 0, "residues %d, %d differ mod %d" % (b1, b2, g0))
     l = m1 // g0 * m2
     m1g, m2g = m1 // g0, m2 // g0
     # solve b = b1 + m1 * t = b2 (mod m2)
@@ -356,7 +364,7 @@ def spliced_manifold(js):
     free_rank, orders, image = quotient_by_relation(
         [G1.torsion_orders, G2.torsion_orders],
         v1 + [-im2.free, *(-x for x in im2.torsion)], v1 + pad2)
-    assert free_rank == 1
+    _require(free_rank == 1, "spliced group has free rank %d" % free_rank)
     group = FinAbGroup(orders)
 
     def f1(h):
@@ -366,7 +374,7 @@ def spliced_manifold(js):
         return image([*pad1, h.free, *h.torsion])
 
     iota_muL = f1(im1)
-    assert iota_muL == f2(im2)
+    _require(iota_muL == f2(im2), "the two meridian images differ")
     il1 = f1(Y1.iota(js.lambda1))
     q2s, p2s = js.q2_star, js.p2_star
     il2 = f2(G2.add(G2.scale(q2s, Y2.iota_m), G2.scale(p2s, Y2.iota_l)))
@@ -376,7 +384,7 @@ def spliced_manifold(js):
     q_star = js.q_star
     # iota(l) = p*iota(lambda_L) - q* iota(mu_L); iota(m) from the inverse
     iota_l = group.sub(group.scale(p, iota_lamL), group.scale(q_star, iota_muL))
-    assert iota_l.free == 0
+    _require(iota_l.free == 0, "spliced longitude is not torsion")
     g = group.torsion_order_of(iota_l)
     # mu_L = p m + q l with p p* - q q* = 1 and 0 <= q < p: the canonical
     # longitude of p m + q* l, read with q and q* swapped
@@ -384,10 +392,11 @@ def spliced_manifold(js):
     iota_m = group.sub(group.scale(p_star, iota_muL), group.scale(q, iota_lamL))
     # mu_L = p m + q l with p > 0 makes the meridian orientation determine
     # the free generator sign, so iota(m) is already positively oriented
-    assert iota_m.free == g
+    _require(iota_m.free == g, "spliced meridian has free part %d, not g = %d"
+             % (iota_m.free, g))
 
     g0 = gcd(js.g1, js.g2)
-    assert g == js.g1 * js.g2 // g0
+    _require(g == js.g1 * js.g2 // g0, "spliced g = %d is not lcm(g1, g2)" % g)
 
     # boxes 0..p_i g_i - 1 over the full torsion of each side
     def side_box(Y, pg, fmap):
@@ -414,18 +423,18 @@ def spliced_manifold(js):
     onesided = []
     for elt, mult in piece12.items():
         if mult:
-            assert mult == 1, "support piece is not multiplicity-free"
+            _require(mult == 1, "support piece is not multiplicity-free")
             support[elt] = support.get(elt, 0) + 1
             onesided.append(elt)
 
     cross_shifted = []
     for elt, mult in cross.items():
-        assert mult == 1, "cross product is not multiplicity-free"
+        _require(mult == 1, "cross product is not multiplicity-free")
         shifted = group.add(elt, iota_muL)
         support[shifted] = support.get(shifted, 0) + 1
         cross_shifted.append(shifted)
 
-    assert all(v == 1 for v in support.values()), "support pieces overlap"
+    _require(all(v == 1 for v in support.values()), "support pieces overlap")
     record = FloerSimpleManifold(group=group, iota_m=iota_m, iota_l=iota_l,
                                  tauc_support=frozenset(support),
                                  witness=Slope(p, q))
@@ -448,43 +457,40 @@ def _product_counter(group, a, b):
 
 def _principal_gap_piece(group, Y2, f2, box1):
     """Classes of nonnegative free part missed by the product of the first
-    principal box with the second principal series.
+    principal box with the second principal series, in increasing
+    (free part, torsion index) order.
 
+    The product is an OR of bitmasks over the spliced group's encoding:
+    box1 translated by each class of the second series up to the
+    truncation bound, each translate checked for classes already covered.
     The product support is stable under adding the image of the second
     free generator, so the complement is complete once a full slab of that
     width is covered; the truncation doubles until the slab check passes.
     """
+    enc = ClassEncoding(group.torsion_orders)
     gen2 = f2(GroupElement(1, (0,) * len(Y2.group.torsion_orders)))
     phi2 = gen2.free
-    assert phi2 > 0
+    _require(phi2 > 0, "the second free generator has image %d <= 0" % phi2)
     t2_elems = [f2(t) for t in Y2.group.torsion_elements()]
-    max_box = max(h.free for h in box1)
-    bound = max_box + phi2 * (len(group.torsion_orders) + 3)
+    bits = [enc.encode(h) for h in box1]
+    _require(len(set(bits)) == len(bits), "principal product is not multiplicity-free")
+    box = bitmask(bits)
+    box_levels = max(h.free for h in box1) + 1
+    bound = box_levels - 1 + phi2 * (len(group.torsion_orders) + 3)
     for _ in range(8):
-        tail2 = []
+        window = (1 << (bound + 1) * enc.size) - 1
+        covered = 0
         for k in range(0, bound // phi2 + 1):
             base = group.scale(k, gen2)
             for t in t2_elems:
-                tail2.append(group.add(base, t))
-        covered = {}
-        for x in box1:
-            for y in tail2:
-                z = group.add(x, y)
-                if z.free <= bound:
-                    covered[z] = covered.get(z, 0) + 1
-        assert all(v == 1 for v in covered.values()), \
-            "principal product is not multiplicity-free"
-        torsion = group.torsion_elements()
-        missing = []
-        for f in range(bound + 1):
-            for t in torsion:
-                elt = GroupElement(f, t.torsion)
-                if elt not in covered:
-                    missing.append(elt)
+                part = enc.translate(box, group.add(base, t), box_levels) & window
+                _require(not covered & part, "principal product is not multiplicity-free")
+                covered |= part
+        missing = window & ~covered
         # stability: a fully covered slab of width phi2 at the top
         slab_lo = bound - phi2 + 1
-        if all(h.free < slab_lo for h in missing):
-            return missing
+        if missing >> (slab_lo * enc.size) == 0:
+            return enc.classes(missing)
         bound *= 2
     raise SearchExhausted("principal gap piece did not stabilize")
 

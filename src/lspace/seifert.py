@@ -162,18 +162,6 @@ def sfs_is_lspace(d):
                       min_side=min_side, max_side=max_side)
 
 
-def sfs_over_rp2_is_lspace():
-    """Oriented Seifert fibrations over the projective plane are all
-    L-spaces; constant verdict."""
-    return True
-
-
-def sfs_higher_genus_is_lspace():
-    """No Seifert fibration over a base of positive genus is an L-space;
-    constant verdict."""
-    return False
-
-
 # --- the fiber-complement difference set ----------------------------------
 
 class SfsDtauEntry(NamedTuple):

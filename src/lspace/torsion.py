@@ -24,7 +24,7 @@ from math import prod
 from typing import NamedTuple
 
 from .abelian import (ClassEncoding, FinAbGroup, GroupElement, Slope,
-                      quotient_by_relation)
+                      bitmask, quotient_by_relation)
 from .errors import (BadMeridianFreePart, Lemma73Violation, LongitudeFilling,
                      NegativePhiInComplement, NonTorsionLongitude,
                      NotFloerSimpleSlope, ZeroInComplement, reads_input)
@@ -118,9 +118,24 @@ def tau_coefficient(Y, h):
     return 0 if h in Y.tauc_support else 1
 
 
+class ComplementBits(NamedTuple):
+    encoding: ClassEncoding
+    bits: int       # the complement support as a bitmask over encoding
+    degree: int     # max free part over the support; -1 if it is empty
+
+
+@lru_cache(maxsize=None)
+def complement_bits(Y):
+    """The complement support of a record as one bitmask."""
+    enc = ClassEncoding(Y.group.torsion_orders)
+    tindex = {t.torsion: i for i, t in enumerate(Y.group.torsion_elements())}
+    bits = bitmask(h.free * enc.size + tindex[h.torsion] for h in Y.tauc_support)
+    return ComplementBits(enc, bits, (bits.bit_length() - 1) // enc.size)
+
+
 def tauc_degree(Y):
     """Max free part over the complement support; -1 if the support is empty."""
-    return max((h.free for h in Y.tauc_support), default=-1)
+    return complement_bits(Y).degree
 
 
 @lru_cache(maxsize=None)
@@ -191,54 +206,22 @@ def dtau(Y):
     A boundary-image class d = delta*iota(m) + gamma*iota(l) with
     delta >= 0 belongs to the set exactly when some complement class x
     has x - d of nonnegative free part outside the complement support.
-    The complement support is held as one torsion bitmask per free level,
-    so each candidate is decided by masked comparisons down the levels.
+    The complement support is one bitmask S (complement_bits), so each
+    candidate costs one translation: d belongs exactly when
+    translate(S, -d) & ~S is nonzero.
     """
     rep = validate_manifold(Y)
     G = Y.group
-    sc = Y.tauc_support
-    max_free = max((h.free for h in sc), default=-1)
-    if max_free < 0:
-        return DtauData(all=(), positive=(), elements=frozenset())
-    enc = ClassEncoding(G.torsion_orders)
-    tsize = enc.size
-    levels = {}
-    for h in sc:
-        levels[h.free] = levels.get(h.free, 0) | (1 << enc.tindex(h.torsion))
-    level_list = sorted(levels)
-    perm_cache = {}
-    shift_cache = {}
-
-    def translate(f, dt):
-        key = (f, dt)
-        cached = shift_cache.get(key)
-        if cached is not None:
-            return cached
-        perm = perm_cache.get(dt)
-        if perm is None:
-            perm = perm_cache[dt] = enc.add_table(dt)
-        mask = levels[f]
-        out = 0
-        for i in range(tsize):
-            if mask >> i & 1:
-                out |= 1 << perm[i]
-        shift_cache[key] = out
-        return out
-
+    enc, S, degree = complement_bits(Y)
     found = []
-    for delta in range(max_free // rep.g + 1):
-        base = G.scale(delta, Y.iota_m)
+    base = G.zero()
+    for delta in range(degree // rep.g + 1):
+        d = base
         for gamma in range(rep.g):
-            d = G.add(base, G.scale(gamma, Y.iota_l))
-            dt = d.torsion
-            for f in level_list:
-                if f < d.free:
-                    continue
-                low = f - d.free
-                shifted = translate(low, dt) if low in levels else 0
-                if levels[f] & ~shifted:
-                    found.append(DtauElement(delta, gamma, d))
-                    break
+            if enc.translate(S, G.neg(d), degree + 1) & ~S:
+                found.append(DtauElement(delta, gamma, d))
+            d = G.add(d, Y.iota_l)
+        base = G.add(base, Y.iota_m)
     positive = tuple(e for e in found if e.delta > 0)
     return DtauData(all=tuple(found), positive=positive,
                     elements=frozenset(e.element for e in found))

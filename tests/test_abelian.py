@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lspace.abelian import (ClassEncoding, FinAbGroup, GluingMatrix,
-                            GroupElement, Slope, canonical_longitude,
+                            GroupElement, Slope, bitmask, canonical_longitude,
                             pairing_and_label, primitive_slope_qs,
                             smith_normal_form, snf_invariant_factors,
                             window_slope_qs)
@@ -213,6 +213,29 @@ def test_class_encoding_matches_group():
     for dt in torsion:
         table = enc.add_table(dt.torsion)
         assert table == [enc.tindex(G.add(t, dt).torsion) for t in torsion]
+
+
+@st.composite
+def masks_and_shifts(draw):
+    G = FinAbGroup(draw(st.sampled_from([(), (3,), (2, 4), (3, 9), (2, 2, 2)])))
+    levels = draw(st.integers(1, 4))
+    classes = [GroupElement(f, t.torsion) for f in range(levels)
+               for t in G.torsion_elements()]
+    members = draw(st.sets(st.sampled_from(classes)))
+    h = G.element(draw(st.integers(-levels, levels)),
+                  draw(st.sampled_from(G.torsion_elements())).torsion)
+    return G, levels, members, h
+
+
+@given(masks_and_shifts())
+def test_translate_matches_group_addition(case):
+    G, levels, members, h = case
+    enc = ClassEncoding(G.torsion_orders)
+    mask = bitmask(enc.encode(x) for x in members)
+    assert enc.classes(mask) == sorted(members)
+    moved = enc.translate(mask, h, levels)
+    assert enc.classes(moved) == sorted(
+        y for y in (G.add(x, h) for x in members) if y.free >= 0)
 
 
 def test_primitive_slope_qs_order():

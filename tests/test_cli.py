@@ -322,6 +322,17 @@ def test_document_is_a_directory(tmp_path):
     assert doc["message"].startswith("IsADirectoryError")
 
 
+@pytest.mark.parametrize("arg", ["missing.json", "records/t25.json", "5"])
+def test_mistyped_path_is_malformed_input(arg):
+    # neither an existing path nor JSON text: a path that is not there
+    code, out = run_cli("dtau", arg)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "MalformedInput"
+    assert doc["message"].startswith("FileNotFoundError")
+    assert repr(arg) in doc["message"]
+
+
 def test_batch_file_not_utf8(tmp_path):
     path = tmp_path / "batch.jsonl"
     path.write_bytes(b'\xff\xfe{"cmd": "dtau", "input": {}}\n')

@@ -1,14 +1,20 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lspace.abelian import GluingMatrix, Slope, pairing_and_label
+import lspace.gluing
+from lspace.abelian import (FinAbGroup, GluingMatrix, GroupElement, Slope,
+                            pairing_and_label, quotient_by_relation)
 from lspace.corpus import n_g, solid_torus, t25, trefoil
-from lspace.errors import HypothesisNotMet
-from lspace.gluing import (SpliceProblem, b_sets, condition_systems,
-                           judicious_slope, splice_equivalence,
-                           splice_is_lspace, spliced_manifold)
+from lspace.errors import HypothesisNotMet, InvariantViolation
+from lspace.gluing import (SpliceProblem, _principal_gap_piece, b_sets,
+                           condition_systems, judicious_slope,
+                           splice_equivalence, splice_is_lspace,
+                           spliced_manifold)
 from lspace.torsion import dtau, retwist, validate_manifold
 
 
@@ -82,6 +88,69 @@ def test_spliced_manifold_named():
     a3 = {78 + 13 + 6}
     assert {d.element.free for d in data.all} == gaps | a1 | a2 | a3
     assert len(data.all) == len(gaps) + len(a1 | a2) + len(a3)
+
+
+PIECE_ORDERS = ((), (2,), (4,), (2, 2), (2, 4), (3, 9), (2, 2, 2))
+
+
+@st.composite
+def gap_piece_inputs(draw):
+    """The arguments of _principal_gap_piece for (Z + T1) + (Z + T2) modulo
+    one class of positive free part on each side, as spliced_manifold
+    builds them: box1 is the image of the free levels 0..a1-1 of the first
+    summand, with a1 the free part of its identified class."""
+    sides = []
+    for _ in range(2):
+        G = FinAbGroup(draw(st.sampled_from(PIECE_ORDERS)))
+        cls = G.element(draw(st.integers(1, 3)),
+                        draw(st.sampled_from(G.torsion_elements())).torsion)
+        sides.append((G, cls))
+    (G1, c1), (G2, c2) = sides
+    pad1 = [0] * (1 + len(G1.torsion_orders))
+    pad2 = [0] * (1 + len(G2.torsion_orders))
+    v1 = [c1.free, *c1.torsion]
+    rank, orders, image = quotient_by_relation(
+        [G1.torsion_orders, G2.torsion_orders],
+        v1 + [-c2.free, *(-x for x in c2.torsion)], v1 + pad2)
+    assert rank == 1
+    group = FinAbGroup(orders)
+
+    def f2(h):
+        return image([*pad1, h.free, *h.torsion])
+
+    box1 = [image([f, *t.torsion, *pad2]) for f in range(c1.free)
+            for t in G1.torsion_elements()]
+    return group, SimpleNamespace(group=G2), f2, box1
+
+
+@settings(max_examples=60, deadline=None)
+@given(gap_piece_inputs())
+def test_gap_piece_is_complement_of_truncated_sumset(inputs):
+    # every class is x + f2(y) for one x in box1 and one y in Z + T2, so a
+    # class of nonnegative free part outside the sumset with free(y) >= 0
+    # has free(y) < 0, and free part below the top of the box
+    group, Y2, f2, box1 = inputs
+    top = max(h.free for h in box1)
+    phi2 = f2(GroupElement(1, (0,) * len(Y2.group.torsion_orders))).free
+    tail2 = [f2(GroupElement(k, t.torsion)) for k in range(top // phi2 + 1)
+             for t in Y2.group.torsion_elements()]
+    sumset = {group.add(x, y) for x in box1 for y in tail2}
+    expected = sorted(GroupElement(f, t.torsion) for f in range(top + 1)
+                      for t in group.torsion_elements()
+                      if GroupElement(f, t.torsion) not in sumset)
+    assert _principal_gap_piece(group, Y2, f2, box1) == expected
+
+
+def test_invariant_checked_as_named_error(monkeypatch):
+    # a product with a repeated class must stop the construction
+    product = lspace.gluing._product_counter
+    monkeypatch.setattr(lspace.gluing, "_product_counter",
+                        lambda group, a, b: {z: 2 * m for z, m in product(group, a, b).items()})
+    spliced_manifold.cache_clear()
+    js = judicious_slope(prob_trefoils([[3, -5], [1, -2]]))
+    with pytest.raises(InvariantViolation, match="multiplicity-free"):
+        spliced_manifold(js)
+    spliced_manifold.cache_clear()
 
 
 def _gaps(p1, p2):

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
 from lspace.abelian import LONGITUDE, Slope
-from lspace.corpus import n_g, negative_trefoil, solid_torus, t25, trefoil
+from lspace.corpus import (_numerical_semigroup_gaps, gap_record, n_g,
+                           negative_trefoil, solid_torus, t25, trefoil)
 from lspace.errors import WitnessOnIntervalBoundary, WitnessOnLongitude
 from lspace.interval import (check_corollary_consistency, is_lspace_slope,
                              lspace_interval, nls_detected, validate_witness)
@@ -157,3 +160,15 @@ def test_nls_detected():
     for Y in (solid_torus(), n_g(2)):
         r = nls_detected(Y, Slope(1, 0))
         assert r.same_points(ProjInterval.point(LONGITUDE))
+
+
+def test_semigroup_gap_records_interval_closed_form():
+    # a record over Z with a semigroup gap set has L-space interval
+    # [max gap, oo], the 2g - 1 bound for a symmetric gap set
+    gap_sets = {_numerical_semigroup_gaps(gens) for r in (2, 3)
+                for gens in combinations(range(2, 10), r) if gcd(*gens) == 1}
+    assert len(gap_sets) == 37
+    for gaps in gap_sets:
+        result = lspace_interval(gap_record(gaps))
+        assert result.kind == "closed", gaps
+        assert (result.lo, result.hi) == (Slope(max(gaps), 1), Slope(1, 0)), gaps

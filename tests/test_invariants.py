@@ -1,0 +1,39 @@
+"""The gluing invariants are named errors, not assertions: they hold under
+python -O and reach the command line as InvariantViolation."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import lspace.gluing
+from lspace.abelian import Slope
+from lspace.cli import handle
+
+ROOT = Path(__file__).parent.parent
+
+
+def test_gluing_suite_under_optimize():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(ROOT / "tests" / "test_gluing.py")],
+        capture_output=True, text=True, cwd=ROOT, env=env)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert " passed" in run.stdout
+
+
+def test_invariant_violation_reaches_handle(monkeypatch):
+    # a longitude that does not pair to 1 with the meridian breaks the
+    # Bezout identity of the judicious slope
+    monkeypatch.setattr(lspace.gluing, "canonical_longitude",
+                        lambda mu: (Slope(0, 1), 0, 1))
+    document = json.loads((ROOT / "tests" / "data" / "glue_true.json").read_text())
+    code, answer = handle({"cmd": "glue", "input": document})
+    assert code == 1
+    assert answer["error"] == "InvariantViolation"
+    assert answer["message"]
+

@@ -6,9 +6,8 @@ import pytest
 
 from lspace.errors import IntegerFiberSlope, MalformedInput, TooFewFibers
 from lspace.seifert import (SeifertData, sfs_dtau, sfs_fiber_interval,
-                            sfs_flip, sfs_higher_genus_is_lspace,
-                            sfs_is_lspace, sfs_is_lspace_via_dtau,
-                            sfs_normalize, sfs_over_rp2_is_lspace)
+                            sfs_flip, sfs_is_lspace, sfs_is_lspace_via_dtau,
+                            sfs_normalize)
 
 
 def M(e0, *fibers):
@@ -67,11 +66,6 @@ def test_lens_spaces_always_lspaces():
     for e0 in range(-3, 4):
         v = sfs_is_lspace(M(e0, (1, 2)))
         assert v.lspace
-
-
-def test_constant_verdict_stubs():
-    assert sfs_over_rp2_is_lspace() is True
-    assert sfs_higher_genus_is_lspace() is False
 
 
 def test_dtau_single_fiber_empty():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lspace.abelian import FinAbGroup, GroupElement, Slope
 from lspace.corpus import gap_record, n_g, solid_torus, t25, trefoil
@@ -180,6 +182,46 @@ def test_dtau_exhaustive_difference_oracle():
                 expected.add(x.free - y.free)
     assert {d.element.free for d in dtau(Y).all} == expected
     assert [(d.delta, d.gamma) for d in dtau(Y).positive] == [(1, 0), (3, 0)]
+
+
+# torsion groups that the spliced records of the standard pieces reach
+SPLICED_ORDERS = ((2,), (2, 4), (3, 9), (2, 2, 2), (4, 16))
+
+
+@st.composite
+def records(draw, orders=st.sampled_from(SPLICED_ORDERS), max_degree=3):
+    """A record on the given torsion, with an arbitrary longitude image and
+    complement support (validate_manifold holds; Lemma 7.3 need not)."""
+    G = FinAbGroup(draw(orders))
+    torsion = st.sampled_from(G.torsion_elements())
+    iota_l = draw(torsion)
+    g = G.torsion_order_of(iota_l)
+    iota_m = G.element(g, draw(torsion).torsion)
+    degree = draw(st.integers(0, max_degree))
+    classes = [GroupElement(f, t.torsion) for f in range(degree + 1)
+               for t in G.torsion_elements()][1:]
+    support = draw(st.sets(st.sampled_from(classes), max_size=len(classes)))
+    return FloerSimpleManifold(group=G, iota_m=iota_m, iota_l=iota_l,
+                               tauc_support=frozenset(support))
+
+
+@settings(max_examples=60, deadline=None)
+@given(records())
+def test_dtau_matches_brute_force_differences(Y):
+    # d = delta iota(m) + gamma iota(l) is in D^tau when some x in S has
+    # x - d of nonnegative free part outside S
+    G, S = Y.group, Y.tauc_support
+    g = validate_manifold(Y).g
+    expected = []
+    for delta in range(max((x.free for x in S), default=-1) // g + 1):
+        for gamma in range(g):
+            d = G.add(G.scale(delta, Y.iota_m), G.scale(gamma, Y.iota_l))
+            if any(G.sub(x, d).free >= 0 and G.sub(x, d) not in S for x in S):
+                expected.append((delta, gamma, d))
+    data = dtau(Y)
+    assert [tuple(e) for e in data.all] == expected
+    assert [tuple(e) for e in data.positive] == [e for e in expected if e[0] > 0]
+    assert data.elements == frozenset(e[2] for e in expected)
 
 
 def test_dtau_n_family_positive_empty():
