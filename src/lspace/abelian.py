@@ -10,7 +10,6 @@ is used anywhere.
 """
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -339,7 +338,7 @@ class ClassEncoding:
 
     def classes(self, mask):
         """The classes of a bitmask, in increasing bit order."""
-        torsions = list(itertools.product(*map(range, self.orders)))
+        torsions = [t.torsion for t in FinAbGroup(self.orders).torsion_elements()]
         digits = bin(mask)[:1:-1]
         out = []
         bit = digits.find("1")

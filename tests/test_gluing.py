@@ -150,7 +150,6 @@ def test_invariant_checked_as_named_error(monkeypatch):
     js = judicious_slope(prob_trefoils([[3, -5], [1, -2]]))
     with pytest.raises(InvariantViolation, match="multiplicity-free"):
         spliced_manifold(js)
-    spliced_manifold.cache_clear()
 
 
 def _gaps(p1, p2):
