@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .errors import DeterminantError
+from .errors import DeterminantError, require
 
 
 class GroupElement(NamedTuple):
@@ -411,7 +411,7 @@ def canonical_longitude(mu):
     p, q = mu.a, mu.b
     q_star = (-pow(q, -1, p)) % p
     p_star = (1 + q * q_star) // p
-    assert p * p_star - q * q_star == 1
+    require(p * p_star - q * q_star == 1, "%d/%d has no canonical longitude", p, q)
     return Slope(q_star, p_star), q_star, p_star
 
 

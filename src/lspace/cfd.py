@@ -20,7 +20,7 @@ from math import lcm
 
 from .abelian import GroupElement, Slope, canonical_longitude, window_slope_qs
 from .errors import (InvalidFraming, LSpaceError, MissingWitness,
-                     NotGeneralizedSolidTorus)
+                     NotGeneralizedSolidTorus, require)
 from .interval import lspace_interval
 from .torsion import (filling_homology_order, hfk_support, milnor_invariants,
                       validate_manifold)
@@ -158,15 +158,16 @@ def _graph_from_supports(Y, iota_mu, iota_lam):
     sources = v1 - image_d1
     for w in sorted(sources):
         target = G.add(w, iota_mu)
-        assert target in v1
+        require(target in v1, "the meridian translate of %r is not a vertex", w)
         arrows.append((("1", w), ("1", target), D23))
     # a vertex starts the third arrow kind exactly when its meridian
     # translate is not hit by the second kind
-    assert {G.add(w, iota_mu) for w in sources} == v1 - image_d3
+    require({G.add(w, iota_mu) for w in sources} == v1 - image_d3,
+            "the third arrow kind does not start where the second misses")
     graph = CfdGraph(v0=tuple(sorted(v0)), v1=tuple(sorted(v1)),
                      arrows=tuple(sorted(arrows)))
     counts = graph.valences()
-    assert all(v == 2 for v in counts.values()), "valence-two check failed"
+    require(all(v == 2 for v in counts.values()), "valence-two check failed")
     return graph
 
 

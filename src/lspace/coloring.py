@@ -38,7 +38,7 @@ the package's central cross-validation.
 from functools import lru_cache
 
 from .abelian import ClassEncoding, canonical_longitude, quotient_by_relation
-from .errors import LongitudeFilling, MalformedInput, NotFloerSimpleSlope
+from .errors import LongitudeFilling, MalformedInput, NotFloerSimpleSlope, require
 from .torsion import hfk_support, validate_manifold
 
 
@@ -267,7 +267,7 @@ def surgery_is_lspace_oracle(Y, mu, nu, window_scale=1):
     n_coeff = orient * nu.a
     lam1, q_star, p_star = canonical_longitude(mu)
     alpha, rem = divmod(n_coeff - beta * q_star, mu.a)
-    assert rem == 0
+    require(rem == 0, "the reference slope does not divide n - beta q*")
     if window_scale == 1:
         return _oracle_fast(Y, mu, beta, n_coeff, alpha)
     return _oracle_sweep(Y, mu, beta, n_coeff, alpha, window_scale)

@@ -73,7 +73,8 @@ def gap_record(gaps, witness=None):
 def n_g(g):
     """The fiber complement N_g: torsion Z/g, homological longitude of
     order g, complement support {(i, a) : 0 <= i <= g-2, i < a <= g-1}."""
-    assert g >= 2
+    if g < 2:
+        raise ValueError("N_g needs g >= 2, got %r" % (g,))
     group = FinAbGroup((g,))
     support = set()
     for i in range(g - 1):

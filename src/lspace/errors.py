@@ -98,16 +98,24 @@ class NotRationalHomologySphere(LSpaceError):
 
 
 class SearchExhausted(LSpaceError):
-    """A bounded search of the gluing routes ended without an answer: no
-    judicious slope with p1 <= 400 in either encoding, or a principal gap
-    piece that did not stabilize within eight doublings."""
+    """The bounded judicious-slope search ended without an answer: no
+    judicious slope with p1 <= 400 in either encoding."""
 
 
 class InvariantViolation(LSpaceError):
-    """An identity that the gluing construction relies on failed: a
-    Bezout relation of the splice slopes, the rank or orientation of the
-    spliced group, or a support piece with a repeated class.  These are
-    checked as named errors, not assertions, so python -O keeps them."""
+    """An identity that a construction relies on failed: a Bezout relation
+    of a slope and its longitude, the rank or orientation of the spliced
+    group, a support piece with a repeated class, an exact division in a
+    slope criterion, the two Seifert criterion forms disagreeing, or the
+    arrows of a train-track graph.  These are checked as named errors, not
+    assertions, so python -O keeps them."""
+
+
+def require(holds, message, *args):
+    """Check an invariant; unlike assert, python -O keeps it.  The message
+    is formatted with args only when the check fails."""
+    if not holds:
+        raise InvariantViolation(message % args if args else message)
 
 
 # --- Seifert data ---

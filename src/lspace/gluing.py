@@ -25,21 +25,14 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .abelian import (ClassEncoding, FinAbGroup, GluingMatrix, GroupElement,
-                      Slope, bitmask, canonical_longitude,
-                      quotient_by_relation, window_slope_qs)
-from .errors import (HypothesisNotMet, InvariantViolation,
-                     NotRationalHomologySphere, SearchExhausted, reads_input)
+                      Slope, canonical_longitude, quotient_by_relation,
+                      window_slope_qs)
+from .errors import (HypothesisNotMet, NotRationalHomologySphere,
+                     SearchExhausted, reads_input, require)
 from .interval import lspace_interval, validate_witness
 from .projline import meet_ranges
 from .torsion import (FloerSimpleManifold, conj_record, dtau, reversed_encoding,
                       tauc_degree, validate_manifold)
-
-
-def _require(holds, message):
-    """Check an invariant of the construction; unlike assert, python -O
-    keeps it."""
-    if not holds:
-        raise InvariantViolation(message)
 
 
 @dataclass(frozen=True)
@@ -200,9 +193,9 @@ def judicious_slope(prob):
     lam1, q1s, p1s = canonical_longitude(Slope(p1, q1))
     lx, ly = prob.phi.apply_raw(lam1.a, lam1.b)
     q2s, p2s = -lx, -ly
-    _require(p2 * p2s - q2 * q2s == 1, "mu2 . lambda2 is not 1")
-    _require(q1s * p2 + q2s * p1 == prob.phi.q_star,
-             "the splice longitudes do not pair to q*")
+    require(p2 * p2s - q2 * q2s == 1, "mu2 . lambda2 is not 1")
+    require(q1s * p2 + q2s * p1 == prob.phi.q_star,
+            "the splice longitudes do not pair to q*")
     return JudiciousSlope(problem=prob, mu1=Slope(p1, q1), mu2=Slope(p2, q2),
                           lambda1=lam1, lambda2=(q2s, p2s),
                           p1=p1, q1=q1, p2=p2, q2=q2,
@@ -327,7 +320,7 @@ def condition_systems(js):
 
 def _crt(b1, m1, b2, m2):
     g0 = gcd(m1, m2)
-    _require((b1 - b2) % g0 == 0, "residues %d, %d differ mod %d" % (b1, b2, g0))
+    require((b1 - b2) % g0 == 0, "residues %d, %d differ mod %d", b1, b2, g0)
     l = m1 // g0 * m2
     m1g, m2g = m1 // g0, m2 // g0
     # solve b = b1 + m1 * t = b2 (mod m2)
@@ -343,11 +336,12 @@ def spliced_manifold(js):
 
     The group is (H1(Y1) + H1(Y2)) / (iota1(mu1) = iota2(mu2)).  The
     complement support is assembled from three disjoint pieces: the
-    classes missed by the product of the two principal series (computed
-    by truncated convolution with a stability check), the two one-sided
-    products of a complement support with the opposite meridian box, and
-    the meridian-shifted product of the two complement supports.  The
-    witness is the image meridian, with surgery label 0.
+    classes missed by the product of the two principal series, the two
+    one-sided products of a complement support with the opposite meridian
+    box, and the meridian-shifted product of the two complement supports.
+    Each piece is a bitmask over ClassEncoding, an OR of translates whose
+    overlaps are refused, decoded once at the end.  The witness is the
+    image meridian, with surgery label 0.
 
     Returns (record, lambda_slope) where lambda_slope = q* m + p* l is the
     slope whose filling is the original gluing (surgery label 1/q*).
@@ -364,7 +358,7 @@ def spliced_manifold(js):
     free_rank, orders, image = quotient_by_relation(
         [G1.torsion_orders, G2.torsion_orders],
         v1 + [-im2.free, *(-x for x in im2.torsion)], v1 + pad2)
-    _require(free_rank == 1, "spliced group has free rank %d" % free_rank)
+    require(free_rank == 1, "spliced group has free rank %d", free_rank)
     group = FinAbGroup(orders)
 
     def f1(h):
@@ -374,7 +368,7 @@ def spliced_manifold(js):
         return image([*pad1, h.free, *h.torsion])
 
     iota_muL = f1(im1)
-    _require(iota_muL == f2(im2), "the two meridian images differ")
+    require(iota_muL == f2(im2), "the two meridian images differ")
     il1 = f1(Y1.iota(js.lambda1))
     q2s, p2s = js.q2_star, js.p2_star
     il2 = f2(G2.add(G2.scale(q2s, Y2.iota_m), G2.scale(p2s, Y2.iota_l)))
@@ -384,7 +378,7 @@ def spliced_manifold(js):
     q_star = js.q_star
     # iota(l) = p*iota(lambda_L) - q* iota(mu_L); iota(m) from the inverse
     iota_l = group.sub(group.scale(p, iota_lamL), group.scale(q_star, iota_muL))
-    _require(iota_l.free == 0, "spliced longitude is not torsion")
+    require(iota_l.free == 0, "spliced longitude is not torsion")
     g = group.torsion_order_of(iota_l)
     # mu_L = p m + q l with p p* - q q* = 1 and 0 <= q < p: the canonical
     # longitude of p m + q* l, read with q and q* swapped
@@ -392,107 +386,86 @@ def spliced_manifold(js):
     iota_m = group.sub(group.scale(p_star, iota_muL), group.scale(q, iota_lamL))
     # mu_L = p m + q l with p > 0 makes the meridian orientation determine
     # the free generator sign, so iota(m) is already positively oriented
-    _require(iota_m.free == g, "spliced meridian has free part %d, not g = %d"
-             % (iota_m.free, g))
+    require(iota_m.free == g, "spliced meridian has free part %d, not g = %d",
+            iota_m.free, g)
 
     g0 = gcd(js.g1, js.g2)
-    _require(g == js.g1 * js.g2 // g0, "spliced g = %d is not lcm(g1, g2)" % g)
+    require(g == js.g1 * js.g2 // g0, "spliced g = %d is not lcm(g1, g2)", g)
 
-    # boxes 0..p_i g_i - 1 over the full torsion of each side
-    def side_box(Y, pg, fmap):
-        out = []
-        for f in range(pg):
-            for t in Y.group.torsion_elements():
-                out.append(fmap(GroupElement(f, t.torsion)))
-        return out
+    enc = ClassEncoding(orders)
+    box1 = _meridian_box(enc, group, f1, G1, js.p1 * js.g1)
+    box2 = _meridian_box(enc, group, f2, G2, js.p2 * js.g2)
+    tc1 = [f1(h) for h in Y1.tauc_support]
+    tc2 = [f2(h) for h in Y2.tauc_support]
+    bits1 = _sumset(enc, 1, tc1, "complement support")
+    bits2 = _sumset(enc, 1, tc2, "complement support")
+    # p_i > (1 + deg1)(1 + deg2) gives p_i g_i > deg_i, so tc_i lies in box_i
+    # and tc1*box2 + box1*tc2 - tc1*tc2 = tc1*(box2 \ tc2) + box1*tc2
+    require(not bits1 & ~box1 and not bits2 & ~box2,
+            "a complement support leaves its meridian box")
+    gap = _principal_gap_piece(enc, group, box1, f2, G2)
+    onesided = _sumset(enc, box2 & ~bits2, tc1, "support piece")
+    part = _sumset(enc, box1, tc2, "support piece")
+    require(not onesided & part, "support piece is not multiplicity-free")
+    onesided |= part
+    cross = _sumset(enc, _sumset(enc, bits2, tc1, "cross product"), [iota_muL],
+                    "cross product")
+    require(not (gap & onesided or gap & cross or onesided & cross),
+            "support pieces overlap")
 
-    tc1 = [f1(h) for h in sorted(Y1.tauc_support)]
-    tc2 = [f2(h) for h in sorted(Y2.tauc_support)]
-    box1 = side_box(Y1, js.p1 * js.g1, f1)
-    box2 = side_box(Y2, js.p2 * js.g2, f2)
-
-    gap_piece = _principal_gap_piece(group, Y2, f2, box1)
-    support = dict.fromkeys(gap_piece, 1)
-
-    piece12 = _product_counter(group, tc1, box2)
-    for elt, mult in _product_counter(group, box1, tc2).items():
-        piece12[elt] = piece12.get(elt, 0) + mult
-    cross = _product_counter(group, tc1, tc2)
-    for elt, mult in cross.items():
-        piece12[elt] = piece12.get(elt, 0) - mult
-    onesided = []
-    for elt, mult in piece12.items():
-        if mult:
-            _require(mult == 1, "support piece is not multiplicity-free")
-            support[elt] = support.get(elt, 0) + 1
-            onesided.append(elt)
-
-    cross_shifted = []
-    for elt, mult in cross.items():
-        _require(mult == 1, "cross product is not multiplicity-free")
-        shifted = group.add(elt, iota_muL)
-        support[shifted] = support.get(shifted, 0) + 1
-        cross_shifted.append(shifted)
-
-    _require(all(v == 1 for v in support.values()), "support pieces overlap")
+    gap, onesided, cross = (frozenset(enc.classes(m)) for m in (gap, onesided, cross))
     record = FloerSimpleManifold(group=group, iota_m=iota_m, iota_l=iota_l,
-                                 tauc_support=frozenset(support),
+                                 tauc_support=gap | onesided | cross,
                                  witness=Slope(p, q))
     validate_manifold(record)
     lam_slope = Slope(q_star, p_star)
-    return SplicedRecord(record=record, lam_slope=lam_slope,
-                         gap_piece=frozenset(gap_piece),
-                         onesided_piece=frozenset(onesided),
-                         cross_piece=frozenset(cross_shifted))
+    return SplicedRecord(record=record, lam_slope=lam_slope, gap_piece=gap,
+                         onesided_piece=onesided, cross_piece=cross)
 
 
-def _product_counter(group, a, b):
-    out = {}
-    for x in a:
-        for y in b:
-            z = group.add(x, y)
-            out[z] = out.get(z, 0) + 1
+def _sumset(enc, mask, shifts, what, window=-1):
+    """The union of the translates of a bitmask by the given classes, cut
+    to window; a class reached twice is refused."""
+    levels = (mask.bit_length() - 1) // enc.size + 1
+    out = 0
+    for h in shifts:
+        part = enc.translate(mask, h, levels) & window
+        require(not out & part, "%s is not multiplicity-free", what)
+        out |= part
     return out
 
 
-def _principal_gap_piece(group, Y2, f2, box1):
-    """Classes of nonnegative free part missed by the product of the first
-    principal box with the second principal series, in increasing
-    (free part, torsion index) order.
+def _meridian_box(enc, group, f, side, levels):
+    """The bitmask of the images under f of the classes of free part
+    0..levels-1 of side: its torsion layer translated by the multiples of
+    the image of its free generator."""
+    layer = _sumset(enc, 1, [f(t) for t in side.torsion_elements()], "torsion layer")
+    gen = f(GroupElement(1, side.zero().torsion))
+    return _sumset(enc, layer, [group.scale(k, gen) for k in range(levels)],
+                   "meridian box")
 
-    The product is an OR of bitmasks over the spliced group's encoding:
-    box1 translated by each class of the second series up to the
-    truncation bound, each translate checked for classes already covered.
-    The product support is stable under adding the image of the second
-    free generator, so the complement is complete once a full slab of that
-    width is covered; the truncation doubles until the slab check passes.
+
+def _principal_gap_piece(enc, group, box1, f2, G2):
+    """The bitmask of the classes of nonnegative free part missed by the
+    product of the first meridian box with the second principal series,
+    the images under f2 of the classes of nonnegative free part of G2.
+
+    Every class is x + f2(y) for exactly one x in box1 and one y, so a
+    missed class has free(y) < 0 and lies below the top of box1.  The
+    product is taken up to one slab of width phi2 = free(f2(1)) above that
+    top, and the slab must be covered.
     """
-    enc = ClassEncoding(group.torsion_orders)
-    gen2 = f2(GroupElement(1, (0,) * len(Y2.group.torsion_orders)))
-    phi2 = gen2.free
-    _require(phi2 > 0, "the second free generator has image %d <= 0" % phi2)
-    t2_elems = [f2(t) for t in Y2.group.torsion_elements()]
-    bits = [enc.encode(h) for h in box1]
-    _require(len(set(bits)) == len(bits), "principal product is not multiplicity-free")
-    box = bitmask(bits)
-    box_levels = max(h.free for h in box1) + 1
-    bound = box_levels - 1 + phi2 * (len(group.torsion_orders) + 3)
-    for _ in range(8):
-        window = (1 << (bound + 1) * enc.size) - 1
-        covered = 0
-        for k in range(0, bound // phi2 + 1):
-            base = group.scale(k, gen2)
-            for t in t2_elems:
-                part = enc.translate(box, group.add(base, t), box_levels) & window
-                _require(not covered & part, "principal product is not multiplicity-free")
-                covered |= part
-        missing = window & ~covered
-        # stability: a fully covered slab of width phi2 at the top
-        slab_lo = bound - phi2 + 1
-        if missing >> (slab_lo * enc.size) == 0:
-            return enc.classes(missing)
-        bound *= 2
-    raise SearchExhausted("principal gap piece did not stabilize")
+    phi2 = f2(GroupElement(1, G2.zero().torsion)).free
+    require(phi2 > 0, "the second free generator has image %d <= 0", phi2)
+    top = (box1.bit_length() - 1) // enc.size
+    bound = top + phi2
+    window = (1 << (bound + 1) * enc.size) - 1
+    series2 = _meridian_box(enc, group, f2, G2, bound // phi2 + 1)
+    covered = _sumset(enc, box1, enc.classes(series2), "principal product", window)
+    missing = window & ~covered
+    require(missing >> (top + 1) * enc.size == 0,
+            "the principal product misses a class above the first box")
+    return missing
 
 
 def splice_equivalence(prob):

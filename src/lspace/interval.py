@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .abelian import LONGITUDE, Slope, canonical_longitude, pairing_and_label
 from .errors import (MissingWitness, WitnessOnIntervalBoundary,
-                     WitnessOnLongitude)
+                     WitnessOnLongitude, require)
 from .projline import ProjInterval
 from .torsion import dtau, hfk_support, milnor_invariants, validate_manifold
 
@@ -184,12 +184,12 @@ def check_corollary_consistency(Y, mu_L, mu):
         verdict_surgery = True
     else:
         alpha, rem = divmod(n - beta * q_star, p)
-        assert rem == 0
+        require(rem == 0, "the reference slope does not divide n - beta q*")
         verdict_surgery = True
         for d in positive:
             b_minus, b_plus = residue_pair(Y, mu_L, d)
             a_plus, rem = divmod(d.delta - b_plus * q_star, p)
-            assert rem == 0
+            require(rem == 0, "the reference slope does not divide delta - b+ q*")
             a_minus = a_plus + q_star * g
             if beta == 0:
                 continue

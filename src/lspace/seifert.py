@@ -23,7 +23,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import IntegerFiberSlope, MalformedInput, TooFewFibers, reads_input
+from .errors import (IntegerFiberSlope, MalformedInput, TooFewFibers,
+                     reads_input, require)
 
 
 @dataclass(frozen=True)
@@ -149,8 +150,7 @@ def sfs_is_lspace(d):
     # remainder-sum form bracketing the Euler number
     lo, hi = _remainder_bracket(d.fibers, s)
     orb_not = (e == 0) or (lo < e < hi)
-    if thm_not != orb_not:
-        raise AssertionError("criterion forms disagree on %r" % (d,))
+    require(thm_not == orb_not, "criterion forms disagree on %r", d)
     if e == 0:
         reason = "euler-zero"
     elif thm_not:
@@ -210,7 +210,7 @@ def sfs_dtau(d):
         for x in range(1, s):
             val = Fraction(s, g) * (-j + sum(Fraction((r * x) % sd, sd)
                                              for r, sd in d.fibers))
-            assert val.denominator == 1
+            require(val.denominator == 1, "difference %s is not an integer", val)
             delta = int(val)
             if delta < 0:
                 continue
@@ -218,8 +218,8 @@ def sfs_dtau(d):
             a_minus = x
             b_plus = b_minus + p * g
             a_plus = a_minus - q_star * g
-            assert a_minus * p + b_minus * q_star == delta
-            assert 0 < -b_minus < p * g
+            require(a_minus * p + b_minus * q_star == delta and 0 < -b_minus < p * g,
+                    "residue pair (%d, %d) does not lift %d", a_minus, b_minus, delta)
             entries.append(SfsDtauEntry(j, x, delta, a_minus, b_minus,
                                         a_plus, b_plus))
     return SfsDtau(entries=tuple(entries), p=p, q_star=q_star, g=g, s=s)

@@ -262,24 +262,27 @@ def _hfk_support_from_iota(Y, iota_mu):
     """Support of the knot Floer Euler characteristic for a filling whose
     meridian maps to iota_mu (free part > 0): classes where the torsion
     coefficient drops by one under translation.  The support size must
-    match the filling's first homology order."""
-    G = Y.group
-    D = tauc_degree(Y)
-    support = set()
-    top = D + iota_mu.free
-    for f in range(top + 1):
-        for t in G.torsion_elements():
-            h = GroupElement(f, t.torsion)
-            diff = tau_coefficient(Y, h) - tau_coefficient(Y, G.sub(h, iota_mu))
-            if diff == 1:
-                support.add(h)
-            elif diff == -1:
-                raise NotFloerSimpleSlope(
-                    "coefficient difference -1 at %r for iota(mu) = %r" % (h, iota_mu))
-    if len(support) != filling_homology_order(Y, iota_mu):
+    match the filling's first homology order.
+
+    Over the free levels 0..degree + free(iota_mu), tau is the window with
+    the complement support cleared; the support is tau minus its translate
+    by iota_mu, and a translate class outside tau is a difference of -1."""
+    enc, S, degree = complement_bits(Y)
+    levels = degree + 1 + iota_mu.free
+    window = (1 << levels * enc.size) - 1
+    tau = window & ~S
+    shifted = enc.translate(tau, iota_mu, levels) & window
+    drop = shifted & ~tau
+    if drop:
+        h = enc.classes(drop & -drop)[0]
         raise NotFloerSimpleSlope(
-            "support size %d does not match the filling homology order" % len(support))
-    return frozenset(support)
+            "coefficient difference -1 at %r for iota(mu) = %r" % (h, iota_mu))
+    support = tau & ~shifted
+    if support.bit_count() != filling_homology_order(Y, iota_mu):
+        raise NotFloerSimpleSlope(
+            "support size %d does not match the filling homology order"
+            % support.bit_count())
+    return frozenset(enc.classes(support))
 
 
 def hfk_support(Y, mu):

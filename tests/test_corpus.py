@@ -1,3 +1,5 @@
+import pytest
+
 from lspace.corpus import n_g, random_records, standard_corpus
 from lspace.interval import validate_witness
 from lspace.torsion import (gamma_closed, milnor_invariants, tauc_degree,
@@ -38,3 +40,9 @@ def test_random_records_constraints():
         milnor_invariants(Y)
         assert gamma_closed(Y)[0]
         validate_witness(Y, Y.witness)
+
+
+@pytest.mark.parametrize("g", [1, 0, -3])
+def test_n_family_needs_g_at_least_two(g):
+    with pytest.raises(ValueError, match="g >= 2"):
+        n_g(g)

@@ -1,14 +1,13 @@
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lspace.gluing
-from lspace.abelian import (FinAbGroup, GluingMatrix, GroupElement, Slope,
-                            pairing_and_label, quotient_by_relation)
+from lspace.abelian import (ClassEncoding, FinAbGroup, GluingMatrix,
+                            GroupElement, Slope, bitmask, pairing_and_label,
+                            quotient_by_relation)
 from lspace.corpus import n_g, solid_torus, t25, trefoil
 from lspace.errors import HypothesisNotMet, InvariantViolation
 from lspace.gluing import (SpliceProblem, _principal_gap_piece, b_sets,
@@ -95,10 +94,11 @@ PIECE_ORDERS = ((), (2,), (4,), (2, 2), (2, 4), (3, 9), (2, 2, 2))
 
 @st.composite
 def gap_piece_inputs(draw):
-    """The arguments of _principal_gap_piece for (Z + T1) + (Z + T2) modulo
-    one class of positive free part on each side, as spliced_manifold
-    builds them: box1 is the image of the free levels 0..a1-1 of the first
-    summand, with a1 the free part of its identified class."""
+    """The quotient of (Z + T1) + (Z + T2) by one identified class of
+    positive free part on each side, as spliced_manifold builds it, with
+    the image map f2 of the second summand, that summand G2, and box1, the
+    image of the free levels 0..a1-1 of the first summand, a1 the free
+    part of its identified class."""
     sides = []
     for _ in range(2):
         G = FinAbGroup(draw(st.sampled_from(PIECE_ORDERS)))
@@ -120,7 +120,7 @@ def gap_piece_inputs(draw):
 
     box1 = [image([f, *t.torsion, *pad2]) for f in range(c1.free)
             for t in G1.torsion_elements()]
-    return group, SimpleNamespace(group=G2), f2, box1
+    return group, G2, f2, box1
 
 
 @settings(max_examples=60, deadline=None)
@@ -129,25 +129,28 @@ def test_gap_piece_is_complement_of_truncated_sumset(inputs):
     # every class is x + f2(y) for one x in box1 and one y in Z + T2, so a
     # class of nonnegative free part outside the sumset with free(y) >= 0
     # has free(y) < 0, and free part below the top of the box
-    group, Y2, f2, box1 = inputs
+    group, G2, f2, box1 = inputs
     top = max(h.free for h in box1)
-    phi2 = f2(GroupElement(1, (0,) * len(Y2.group.torsion_orders))).free
+    phi2 = f2(GroupElement(1, (0,) * len(G2.torsion_orders))).free
     tail2 = [f2(GroupElement(k, t.torsion)) for k in range(top // phi2 + 1)
-             for t in Y2.group.torsion_elements()]
+             for t in G2.torsion_elements()]
     sumset = {group.add(x, y) for x in box1 for y in tail2}
     expected = sorted(GroupElement(f, t.torsion) for f in range(top + 1)
                       for t in group.torsion_elements()
                       if GroupElement(f, t.torsion) not in sumset)
-    assert _principal_gap_piece(group, Y2, f2, box1) == expected
+    enc = ClassEncoding(group.torsion_orders)
+    box = bitmask(enc.encode(h) for h in box1)
+    assert enc.classes(_principal_gap_piece(enc, group, box, f2, G2)) == expected
 
 
 def test_invariant_checked_as_named_error(monkeypatch):
-    # a product with a repeated class must stop the construction
-    product = lspace.gluing._product_counter
-    monkeypatch.setattr(lspace.gluing, "_product_counter",
-                        lambda group, a, b: {z: 2 * m for z, m in product(group, a, b).items()})
+    # a translation that loses the free part sends every level of a
+    # meridian box onto the first, so the box repeats its classes
     spliced_manifold.cache_clear()
     js = judicious_slope(prob_trefoils([[3, -5], [1, -2]]))
+    translate = ClassEncoding.translate
+    monkeypatch.setattr(ClassEncoding, "translate",
+                        lambda enc, mask, h, levels: translate(enc, mask, h._replace(free=0), levels))
     with pytest.raises(InvariantViolation, match="multiplicity-free"):
         spliced_manifold(js)
 

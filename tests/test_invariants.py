@@ -1,13 +1,15 @@
-"""The gluing invariants are named errors, not assertions: they hold under
+"""The invariants are named errors, not assertions: they hold under
 python -O and reach the command line as InvariantViolation."""
 
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import lspace.gluing
+import lspace.seifert
 from lspace.abelian import Slope
 from lspace.cli import handle
 
@@ -20,7 +22,8 @@ def test_gluing_suite_under_optimize():
         [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     run = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         str(ROOT / "tests" / "test_gluing.py")],
+         *(str(ROOT / "tests" / name) for name in
+           ("test_gluing.py", "test_seifert.py", "test_cfd.py", "test_golden_cli.py"))],
         capture_output=True, text=True, cwd=ROOT, env=env)
     assert run.returncode == 0, run.stdout + run.stderr
     assert " passed" in run.stdout
@@ -37,3 +40,14 @@ def test_invariant_violation_reaches_handle(monkeypatch):
     assert answer["error"] == "InvariantViolation"
     assert answer["message"]
 
+
+def test_seifert_forms_disagreeing_is_named(monkeypatch):
+    # a remainder bracket around the Euler number makes the orbifold form
+    # call an L-space a non-L-space
+    monkeypatch.setattr(lspace.seifert, "_remainder_bracket",
+                        lambda fibers, s: (Fraction(-100), Fraction(100)))
+    document = json.loads((ROOT / "tests" / "data" / "sfs_poincare_like.json").read_text())
+    code, answer = handle({"cmd": "sfs", "input": document})
+    assert code == 1
+    assert answer["error"] == "InvariantViolation"
+    assert answer["message"].startswith("criterion forms disagree")
