@@ -187,41 +187,46 @@ def sfs_dtau(d):
 
     In the surgery basis given by the distinguished boundary, the
     complement of a regular fiber has difference-set elements indexed by
-    j in {1..n-1} and x in {1..s-1}:
+    j in {1..n-1} and x in {1..s-1}.  With the per-x remainder and floor
+    sums
 
-        delta(j, x) = (s/g) (-j + sum [ri x]_{si} / si),
+        R(x) = sum [ri x]_{si} (s/si),    F(x) = sum floor(ri x / si),
 
-    kept when the value is a nonnegative integer (it always is an integer),
-    with coordinates a- = x, b- = -j - sum floor(ri x / si), and the
-    opposite lift a+ = a- - q* g = -(s - x), b+ = b- + p g.  Here
-    g = gcd(sum ri s / si, s), p = (s/g) sum ri/si, q* = s/g.
+    the element is
+
+        delta(j, x) = (R(x) - j s) / g,
+
+    kept when it is nonnegative (it is always an integer), with
+    coordinates a- = x, b- = -j - F(x), and the opposite lift
+    a+ = a- - q* g = -(s - x), b+ = b- + p g.  Here g = gcd(sum ri s/si, s),
+    p = (s/g) sum ri/si and q* = s/g, so p g = sum ri s/si.  No Fraction
+    is built: R and F are computed once per x, before the j loop.
     """
     if not d.is_normalized():
         d, _ = sfs_normalize(d)
     if d.n == 0:
         return SfsDtau(entries=(), p=0, q_star=1, g=1, s=1)
     s = lcm(*[sd for _, sd in d.fibers])
-    total = sum(r * (s // sd) for r, sd in d.fibers)
+    scales = [(r, sd, s // sd) for r, sd in d.fibers]
+    total = sum(r * k for r, _, k in scales)
     g = gcd(total, s)
     p = total // g
     q_star = s // g
+    sums = [(x, sum(((r * x) % sd) * k for r, sd, k in scales),
+             sum((r * x) // sd for r, sd, _ in scales)) for x in range(1, s)]
     entries = []
     for j in range(1, d.n):
-        for x in range(1, s):
-            val = Fraction(s, g) * (-j + sum(Fraction((r * x) % sd, sd)
-                                             for r, sd in d.fibers))
-            require(val.denominator == 1, "difference %s is not an integer", val)
-            delta = int(val)
+        for x, rem_sum, floor_sum in sums:
+            delta, rest = divmod(rem_sum - j * s, g)
+            require(rest == 0, "difference (%d - %d)/%d is not an integer",
+                    rem_sum, j * s, g)
             if delta < 0:
                 continue
-            b_minus = -j - sum((r * x) // sd for r, sd in d.fibers)
-            a_minus = x
-            b_plus = b_minus + p * g
-            a_plus = a_minus - q_star * g
-            require(a_minus * p + b_minus * q_star == delta and 0 < -b_minus < p * g,
-                    "residue pair (%d, %d) does not lift %d", a_minus, b_minus, delta)
-            entries.append(SfsDtauEntry(j, x, delta, a_minus, b_minus,
-                                        a_plus, b_plus))
+            b_minus = -j - floor_sum
+            require(x * p + b_minus * q_star == delta and 0 < -b_minus < total,
+                    "residue pair (%d, %d) does not lift %d", x, b_minus, delta)
+            entries.append(SfsDtauEntry(j, x, delta, x, b_minus,
+                                        x - s, b_minus + total))
     return SfsDtau(entries=tuple(entries), p=p, q_star=q_star, g=g, s=s)
 
 
@@ -230,7 +235,10 @@ def sfs_is_lspace_via_dtau(d):
 
     The space is the filling with surgery coefficients (alpha, beta) =
     (1, e0) relative to the distinguished fiber basis; the surgery-label
-    inequalities over the positive entries decide L-space-ness.
+    inequalities over the positive entries decide L-space-ness.  Every
+    entry has b+ > 0 > b-, so a+/b+ <= alpha/beta (positive label) and
+    alpha/beta <= a-/b- (negative label) both read
+    (alpha b - a beta) beta >= 0 for the lift (a, b) compared.
     """
     if not d.is_normalized():
         d, _ = sfs_normalize(d)
@@ -243,15 +251,12 @@ def sfs_is_lspace_via_dtau(d):
     alpha, beta = 1, d.e0
     if beta == 0:
         return True
-    label_positive = (Fraction(beta, n_pairing) > 0)
+    label_positive = beta * n_pairing > 0
     for e in data.entries:
         if e.delta <= 0:
             continue
-        if label_positive:
-            ok = Fraction(e.a_plus, e.b_plus) <= Fraction(alpha, beta)
-        else:
-            ok = Fraction(alpha, beta) <= Fraction(e.a_minus, e.b_minus)
-        if not ok:
+        a, b = (e.a_plus, e.b_plus) if label_positive else (e.a_minus, e.b_minus)
+        if (alpha * b - a * beta) * beta < 0:
             return False
     return True
 

@@ -1,8 +1,10 @@
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lspace.errors import IntegerFiberSlope, MalformedInput, TooFewFibers
 from lspace.seifert import (SeifertData, sfs_dtau, sfs_fiber_interval,
@@ -172,3 +174,65 @@ def test_reparameterization_invariance():
     assert sfs_is_lspace(M(-2, (3, 2), (2, 3))).lspace == v
     assert sfs_is_lspace(M(0, (-1, 2), (2, 3))).lspace == v
     assert sfs_is_lspace(M(-3, (3, 2), (5, 3))).lspace == v
+
+
+@st.composite
+def unnormalized_sfs(draw):
+    fibers = []
+    for _ in range(draw(st.integers(1, 4))):
+        s = draw(st.integers(2, 9)) * draw(st.sampled_from((1, -1)))
+        r = draw(st.integers(-40, 40).filter(lambda r: r % s != 0))
+        fibers.append((r, s))
+    return M(draw(st.integers(-5, 5)), *fibers)
+
+
+def dtau_reference(d):
+    """sfs_dtau's formula in Fractions: delta = (s/g)(-j + sum [ri x]/si)."""
+    d, _ = sfs_normalize(d)
+    s = lcm(*[sd for _, sd in d.fibers])
+    g = gcd(sum(r * (s // sd) for r, sd in d.fibers), s)
+    p = Fraction(s, g) * sum(Fraction(r, sd) for r, sd in d.fibers)
+    q_star = s // g
+    entries = []
+    for j in range(1, d.n):
+        for x in range(1, s):
+            val = Fraction(s, g) * (-j + sum(Fraction((r * x) % sd, sd)
+                                             for r, sd in d.fibers))
+            assert val.denominator == 1
+            if val < 0:
+                continue
+            b_minus = -j - sum((r * x) // sd for r, sd in d.fibers)
+            entries.append((j, x, int(val), x, b_minus, x - q_star * g,
+                            b_minus + p * g))
+    return entries, p, q_star, g, s
+
+
+def via_dtau_reference(d):
+    """The surgery-label inequalities compared as Fractions."""
+    entries, p, q_star, _, _ = dtau_reference(d)
+    d, _ = sfs_normalize(d)
+    n_pairing = q_star * d.e0 + p
+    if n_pairing == 0:
+        return False
+    alpha, beta = 1, d.e0
+    if beta == 0:
+        return True
+    positive = Fraction(beta, n_pairing) > 0
+    for _, _, delta, a_minus, b_minus, a_plus, b_plus in entries:
+        if delta > 0 and not (
+                Fraction(a_plus, b_plus) <= Fraction(alpha, beta) if positive
+                else Fraction(alpha, beta) <= Fraction(a_minus, b_minus)):
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(unnormalized_sfs())
+def test_dtau_route_matches_fraction_reference(d):
+    data = sfs_dtau(d)
+    entries, p, q_star, g, s = dtau_reference(d)
+    assert [tuple(e) for e in data.entries] == entries
+    assert (data.p, data.q_star, data.g, data.s) == (p, q_star, g, s)
+    verdict = sfs_is_lspace_via_dtau(d)
+    assert verdict == via_dtau_reference(d)
+    assert verdict == sfs_is_lspace(d).lspace
