@@ -63,17 +63,12 @@ def _frac(x):
     return "%d/%d" % (f.numerator, f.denominator)
 
 
-def _slope_str(s):
-    return "%d/%d" % (s.a, s.b)
-
-
 def _interval_doc(result):
     if result.kind == "all-but-longitude":
         return {"kind": "all-but-longitude"}
     if result.kind == "complement-of-point":
-        return {"kind": "complement-of-point", "point": _slope_str(result.lo)}
-    return {"kind": "closed", "lo": _slope_str(result.lo),
-            "hi": _slope_str(result.hi)}
+        return {"kind": "complement-of-point", "point": str(result.lo)}
+    return {"kind": "closed", "lo": str(result.lo), "hi": str(result.hi)}
 
 
 def cmd_interval(manifold, witness=None):
@@ -120,7 +115,7 @@ def cmd_glue(data):
     if verdict.reason != "NotRationalHomologySphere":
         js = judicious_slope(prob)
         l_rep, i_rep = condition_systems(js)
-        out["judicious"] = {"mu1": _slope_str(js.mu1), "mu2": _slope_str(js.mu2),
+        out["judicious"] = {"mu1": str(js.mu1), "mu2": str(js.mu2),
                             "q_star": js.q_star}
         out["conditions"] = {
             "L": l_rep.holds, "I": i_rep.holds,

@@ -106,9 +106,9 @@ class InvariantViolation(LSpaceError):
     """An identity that a construction relies on failed: a Bezout relation
     of a slope and its longitude, the rank or orientation of the spliced
     group, a support piece with a repeated class, an exact division in a
-    slope criterion, the two Seifert criterion forms disagreeing, or the
-    arrows of a train-track graph.  These are checked as named errors, not
-    assertions, so python -O keeps them."""
+    slope criterion, the size of <iota(l)>, the two Seifert criterion forms
+    disagreeing, or the arrows of a train-track graph.  These are checked
+    as named errors, not assertions, so python -O keeps them."""
 
 
 def require(holds, message, *args):

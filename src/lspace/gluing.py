@@ -265,54 +265,45 @@ def condition_systems(js):
     L-space-ness of the gluing; equality of the two verdicts is part of
     the equivalence chain.
     """
-    B1, B2 = b_sets(js)
+    B1, B2 = (sorted(B) for B in b_sets(js))
     p1, p2, g1, g2 = js.p1, js.p2, js.g1, js.g2
     qbar1, qbar2 = js.qbar1, js.qbar2
     g0 = gcd(g1, g2)
     g = g1 * g2 // g0
     pg = p1 * p2 * g
+    sides = ((B1, p1 * g1, "L.i", "I.i"), (B2, p2 * g2, "L.ii", "I.ii"))
 
     l_checks = []
     l_holds = True
-    for b1 in sorted(B1):
-        for b in range(b1 if b1 > 0 else p1 * g1, pg, p1 * g1):
-            val = _floor_sum(b, qbar1, p1, qbar2, p2)
-            ok = val >= b
-            l_checks.append(("L.i", b, val, b))
-            l_holds = l_holds and ok
-    for b2 in sorted(B2):
-        for b in range(b2 if b2 > 0 else p2 * g2, pg, p2 * g2):
-            val = _floor_sum(b, qbar1, p1, qbar2, p2)
-            ok = val >= b
-            l_checks.append(("L.ii", b, val, b))
-            l_holds = l_holds and ok
-    for b1 in sorted(B1):
-        for b2 in sorted(B2):
+    for B, step, tag, _ in sides:
+        for bi in B:
+            for b in range(bi if bi > 0 else step, pg, step):
+                val = _floor_sum(b, qbar1, p1, qbar2, p2)
+                l_checks.append((tag, b, val, b))
+                l_holds = l_holds and val >= b
+    for b1 in B1:
+        for b2 in B2:
             if (b1 - b2) % g0:
                 continue
             b = _crt(b1, p1 * g1, b2, p2 * g2)
             if b == 0:
                 b = pg
             val = _floor_sum(b, qbar1, p1, qbar2, p2)
-            ok = val > b
             l_checks.append(("L.iii", (b1, b2, b), val, b))
-            l_holds = l_holds and ok
+            l_holds = l_holds and val > b
 
     i_checks = []
     i_holds = True
-    for b1 in sorted(B1):
-        val = _floor_sum(b1, qbar1, p1, qbar2, p2)
-        i_checks.append(("I.i", b1, val, b1))
-        i_holds = i_holds and (val >= b1)
-    for b2 in sorted(B2):
-        val = _floor_sum(b2, qbar1, p1, qbar2, p2)
-        i_checks.append(("I.ii", b2, val, b2))
-        i_holds = i_holds and (val >= b2)
-    for b1 in sorted(B1):
-        for b2 in sorted(B2):
+    for B, _, _, tag in sides:
+        for b in B:
+            val = _floor_sum(b, qbar1, p1, qbar2, p2)
+            i_checks.append((tag, b, val, b))
+            i_holds = i_holds and val >= b
+    for b1 in B1:
+        for b2 in B2:
             val = Fraction((b1 * qbar1) // p1, b1) + Fraction((b2 * qbar2) // p2, b2)
             i_checks.append(("I.iii", (b1, b2), val, 1))
-            i_holds = i_holds and (val > 1)
+            i_holds = i_holds and val > 1
 
     return (ConditionReport(holds=l_holds, checks=tuple(l_checks)),
             ConditionReport(holds=i_holds, checks=tuple(i_checks)))

@@ -9,24 +9,21 @@ counterclockwise from lo to hi, where "counterclockwise" is the direction
 of increasing rationals (0 -> 1 -> oo -> -1 -> 0).
 
 All predicates (membership, intersection, covering the circle) are exact.
-Intersection and covering are decided by cutting the circle at a rational
-point away from every endpoint and sweeping the resulting linear order.
+The endpoints of two such sets cut the circle into points and open cells,
+and each set is a union of some of them, so membership is constant on a
+cell.  Intersection and covering are therefore decided on one sample slope
+per endpoint and per cell (see _samples).
 """
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 from .abelian import Slope
-
-
-def _det(p, q):
-    return p.a * q.b - q.a * p.b
 
 
 def ccw(p, q, r):
     """Orientation of a point triple: +1 if (p, q, r) is counterclockwise,
     -1 if clockwise, 0 if two points coincide."""
-    d = _det(p, q) * _det(q, r) * _det(r, p)
+    d = p.pairing(q) * q.pairing(r) * r.pairing(p)
     return (d > 0) - (d < 0)
 
 
@@ -35,10 +32,6 @@ _EVERYTHING = "everything"
 _POINT = "point"
 _COMPLEMENT = "complement"
 _ARC = "arc"
-
-# sentinels for the cut order: BEGIN is just after the cut point, END just before
-_BEGIN = ("begin",)
-_END = ("end",)
 
 
 @dataclass(frozen=True)
@@ -126,7 +119,7 @@ class ProjInterval:
                 return [(q, q)]
             return [(None, q - 1), (q + 1, None)]
         lo, hi = self.lo, self.hi
-        c = 1 if _det(hi, lo) > 0 else -1
+        c = 1 if hi.pairing(lo) > 0 else -1
         ranges = []
         for s_lo, s_hi in ((1, c), (-1, -c)):
             # s_lo * det(lo, s) > 0 and s_hi * det(s, hi) > 0, or = 0 at a closed end
@@ -175,7 +168,7 @@ class ProjInterval:
         return ProjInterval.arc(phi.apply_slope(self.hi), phi.apply_slope(self.lo),
                                 self.hi_closed, self.lo_closed)
 
-    # --- binary predicates, via cutting the circle ---
+    # --- binary predicates, on one sample per cell ---
 
     def _endpoints(self):
         if self.kind in (_EMPTY, _EVERYTHING):
@@ -184,47 +177,13 @@ class ProjInterval:
             return [self.lo]
         return [self.lo, self.hi]
 
-    def _pieces(self, cut):
-        """Split into linear intervals of the circle cut at `cut`.
-
-        Returns a list of (start, start_closed, end, end_closed) with
-        start/end either Slope or the BEGIN/END sentinels.  `cut` must not
-        be an endpoint of self.
-        """
-        if self.kind == _EMPTY:
-            return []
-        if self.kind == _EVERYTHING:
-            return [(_BEGIN, True, _END, True)]
-        if self.kind == _POINT:
-            return [(self.lo, True, self.lo, True)]
-        if self.kind == _COMPLEMENT:
-            return [(_BEGIN, True, self.lo, False), (self.lo, False, _END, True)]
-        if ccw(self.lo, cut, self.hi) > 0:
-            # cut lies inside the arc: two pieces
-            return [(_BEGIN, True, self.hi, self.hi_closed),
-                    (self.lo, self.lo_closed, _END, True)]
-        return [(self.lo, self.lo_closed, self.hi, self.hi_closed)]
-
     def intersects(self, other):
         """Is the intersection of the two point sets nonempty?"""
-        cut = _pick_cut(self._endpoints() + other._endpoints())
-        if self.contains(cut) and other.contains(cut):
-            return True
-        less = _cut_less(cut)
-        for pa in self._pieces(cut):
-            for pb in other._pieces(cut):
-                if _linear_overlap(pa, pb, less):
-                    return True
-        return False
+        return any(self.contains(s) and other.contains(s) for s in _samples(self, other))
 
     def covers_circle_with(self, other):
         """Is the union of the two point sets the whole circle?"""
-        cut = _pick_cut(self._endpoints() + other._endpoints())
-        if not (self.contains(cut) or other.contains(cut)):
-            return False
-        less = _cut_less(cut)
-        pieces = self._pieces(cut) + other._pieces(cut)
-        return _linear_cover(pieces, less)
+        return all(self.contains(s) or other.contains(s) for s in _samples(self, other))
 
     def is_subset(self, other):
         return not self.intersects(other.complement())
@@ -257,81 +216,17 @@ def meet_ranges(a, b):
     return [r for r in (_meet(x, y) for x in a for y in b) if r is not None]
 
 
-def _pick_cut(avoid):
-    avoid = set(avoid)
-    for cand in (Slope(1, 0), Slope(0, 1), Slope(1, 1), Slope(1, -1), Slope(2, 1),
-                 Slope(1, 2), Slope(3, 1), Slope(1, 3), Slope(3, 2), Slope(2, 3),
-                 Slope(5, 2), Slope(2, 5), Slope(5, 3), Slope(4, 1)):
-        if cand not in avoid:
-            return cand
-    k = 5
-    while True:
-        cand = Slope(k, 1)
-        if cand not in avoid:
-            return cand
-        k += 1
-
-
-def _cut_less(cut):
-    """Strict total order on circle points != cut: p < q iff p is met
-    before q travelling counterclockwise from the cut."""
-    def less(p, q):
-        if p is _BEGIN:
-            return q is not _BEGIN
-        if p is _END or q is _BEGIN:
-            return False
-        if q is _END:
-            return p is not _END
-        if p == q:
-            return False
-        return ccw(cut, p, q) > 0
-    return less
-
-
-def _linear_overlap(pa, pb, less):
-    sa, sac, ea, eac = pa
-    sb, sbc, eb, ebc = pb
-    # latest start and earliest end, with flags
-    if less(sa, sb):
-        s, sc = sb, sbc
-    elif less(sb, sa):
-        s, sc = sa, sac
-    else:
-        s, sc = sa, sac and sbc
-    if less(ea, eb):
-        e, ec = ea, eac
-    elif less(eb, ea):
-        e, ec = eb, ebc
-    else:
-        e, ec = ea, eac and ebc
-    if less(s, e):
-        return True
-    if not less(e, s) and not isinstance(s, tuple):
-        # s == e, an actual point: need it covered on both sides
-        return sc and ec
-    return False
-
-
-def _linear_cover(pieces, less):
-    """Do the linear pieces cover the whole cut-open circle?"""
-    if not pieces:
-        return False
-    order = cmp_to_key(lambda x, y: -1 if less(x, y) else (1 if less(y, x) else 0))
-    pieces = sorted(pieces, key=lambda p: (order(p[0]), not p[1]))
-    first = pieces[0]
-    if first[0] is not _BEGIN:
-        return False
-    frontier, frontier_closed = first[2], first[3]
-    for s, sc, e, ec in pieces[1:]:
-        if frontier is _END:
-            break
-        if less(frontier, s):
-            return False
-        if not less(s, frontier) and not (sc or frontier_closed):
-            # s == frontier but the meeting point is covered by neither
-            return False
-        if less(frontier, e):
-            frontier, frontier_closed = e, ec
-        elif not less(e, frontier):
-            frontier_closed = frontier_closed or ec
-    return frontier is _END
+def _samples(x, y):
+    """Slopes meeting every endpoint of x and y and every open cell between
+    them.  Of e + f and e - f, for distinct endpoints e and f, one lies on
+    each of the two arcs between e and f, so every cell between consecutive
+    endpoints holds one.  With fewer than two endpoints the rest of the
+    circle is a single cell, and two of three fixed slopes lie in it."""
+    ends = list(dict.fromkeys(x._endpoints() + y._endpoints()))
+    out = list(ends)
+    for i, e in enumerate(ends):
+        for f in ends[:i]:
+            out += [Slope(e.a + f.a, e.b + f.b), Slope(e.a - f.a, e.b - f.b)]
+    if len(ends) < 2:
+        out += [Slope(1, 0), Slope(0, 1), Slope(1, 1)]
+    return out

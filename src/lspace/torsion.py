@@ -27,7 +27,8 @@ from .abelian import (ClassEncoding, FinAbGroup, GroupElement, Slope,
                       bitmask, quotient_by_relation)
 from .errors import (BadMeridianFreePart, Lemma73Violation, LongitudeFilling,
                      NegativePhiInComplement, NonTorsionLongitude,
-                     NotFloerSimpleSlope, ZeroInComplement, reads_input)
+                     NotFloerSimpleSlope, ZeroInComplement, reads_input,
+                     require)
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,7 @@ def validate_manifold(Y):
         if cur in seen:
             break
         seen.add(cur)
-    if len(seen) != g:
-        raise ValueError("internal: order mismatch for <iota(l)>")
+    require(len(seen) == g, "<iota(l)> has %d elements, not g = %d", len(seen), g)
     return ValidationReport(g=g, k=size // g, torsion_size=size)
 
 

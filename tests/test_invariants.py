@@ -8,10 +8,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import lspace.gluing
 import lspace.seifert
-from lspace.abelian import Slope
+from lspace.abelian import FinAbGroup, GroupElement, Slope
 from lspace.cli import handle
+from lspace.errors import InvariantViolation
+from lspace.torsion import FloerSimpleManifold, validate_manifold
 
 ROOT = Path(__file__).parent.parent
 
@@ -51,3 +55,12 @@ def test_seifert_forms_disagreeing_is_named(monkeypatch):
     assert code == 1
     assert answer["error"] == "InvariantViolation"
     assert answer["message"].startswith("criterion forms disagree")
+
+
+def test_longitude_order_mismatch_is_named(monkeypatch):
+    # an order of iota(l) that its enumeration does not confirm
+    monkeypatch.setattr(FinAbGroup, "torsion_order_of", lambda self, x: 2)
+    Y = FloerSimpleManifold(group=FinAbGroup(()), iota_m=GroupElement(2, ()),
+                            iota_l=GroupElement(0, ()), tauc_support=())
+    with pytest.raises(InvariantViolation, match="<iota\\(l\\)> has 1 elements, not g = 2"):
+        validate_manifold(Y)

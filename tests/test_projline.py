@@ -1,4 +1,4 @@
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lspace.abelian import GluingMatrix, Slope, apply_gluing
@@ -181,3 +181,29 @@ def test_q_ranges_match_contains(iv, p):
     assert all(a[1] < b[0] for a, b in zip(ends, ends[1:]))
     for q in range(-50, 51):
         assert any(lo <= q <= hi for lo, hi in ends) == iv.contains(Slope(p, q))
+
+
+# every slope with |a|, |b| <= 12: the endpoints drawn by proj_sets have
+# coordinates at most 6, so this grid holds every endpoint and, for each
+# pair of endpoints e, f, both e + f and e - f, one inside each arc between
+# them; so it meets every open cell and deciding by brute force is exact
+GRID = sorted({Slope(a, b) for a in range(-12, 13) for b in range(-12, 13)
+               if (a, b) != (0, 0)}, key=lambda s: (s.a, s.b))
+
+
+@given(proj_sets(), proj_sets())
+# equal open arcs meet, though neither holds an endpoint of the other
+@example(ProjInterval.arc(S(0), S(1), False, False),
+         ProjInterval.arc(S(0), S(1), False, False))
+# complementary open arcs with shared endpoints: disjoint, and both
+# endpoints are missed
+@example(ProjInterval.arc(S(0), S(1), False, False),
+         ProjInterval.arc(S(1), S(0), False, False))
+# a point and its complement cover the circle without meeting
+@example(ProjInterval.point(S(2)), ProjInterval.complement_of_point(S(2)))
+def test_binary_predicates_match_brute_force(x, y):
+    inx = [x.contains(s) for s in GRID]
+    iny = [y.contains(s) for s in GRID]
+    assert x.intersects(y) == any(a and b for a, b in zip(inx, iny))
+    assert x.covers_circle_with(y) == all(a or b for a, b in zip(inx, iny))
+    assert x.is_subset(y) == all(b for a, b in zip(inx, iny) if a)
