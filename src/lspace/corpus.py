@@ -14,7 +14,7 @@ from .abelian import FinAbGroup, GroupElement, Slope, primitive_slope_qs
 from .errors import LSpaceError
 from .interval import validate_witness
 from .torsion import (FloerSimpleManifold, gamma_closed, milnor_invariants,
-                      validate_manifold)
+                      tauc_degree, validate_manifold)
 
 
 def solid_torus():
@@ -102,7 +102,7 @@ def _record_ok(Y, max_torsion=4, max_degree=5):
         rep = validate_manifold(Y)
         if rep.torsion_size > max_torsion:
             return False
-        if max((h.free for h in Y.tauc_support), default=-1) > max_degree:
+        if tauc_degree(Y) > max_degree:
             return False
         milnor_invariants(Y)
         ok, _ = gamma_closed(Y)
@@ -195,7 +195,7 @@ def random_records(seed, count=5, max_torsion=4, max_degree=5):
                 continue
             Y = FloerSimpleManifold(group=Y.group, iota_m=Y.iota_m,
                                     iota_l=Y.iota_l,
-                                    tauc_support=Y.tauc_support, witness=w)
+                                    tauc_bits=Y.tauc_bits, witness=w)
         if not _record_ok(Y, max_torsion, max_degree):
             continue
         if any(Y == prev for prev in out):

@@ -58,9 +58,9 @@ def splice_from_json(doc):
 class SplicedRecord:
     record: FloerSimpleManifold
     lam_slope: Slope
-    gap_piece: frozenset
-    onesided_piece: frozenset
-    cross_piece: frozenset
+    gap_piece: int        # the three support pieces, as bitmasks over
+    onesided_piece: int   # ClassEncoding(record.group.torsion_orders)
+    cross_piece: int
 
 
 @dataclass(frozen=True)
@@ -177,15 +177,14 @@ def judicious_slope(prob):
     i1_int, pulled = overlap_region(prob)
     if not i1_int.intersects(pulled):
         raise HypothesisNotMet("interval interiors do not overlap under the gluing")
-    flip_note = "negated the second boundary basis (and re-normalized q*)"
-    variants = [(prob, tuple(transcript)),
-                (_conj_problem(_reverse_side2(prob)),
-                 tuple(transcript) + (flip_note,))]
-    for prob, transcript in variants:
-        found = _scan_judicious(prob)
-        if found is not None:
-            break
-    else:
+    found = _scan_judicious(prob, i1_int, pulled)
+    if found is None:
+        prob = _conj_problem(_reverse_side2(prob))
+        transcript.append("negated the second boundary basis (and re-normalized q*)")
+        i1_int, pulled = overlap_region(prob)
+        if i1_int.intersects(pulled):
+            found = _scan_judicious(prob, i1_int, pulled)
+    if found is None:
         raise SearchExhausted("no judicious slope with p1 <= %d in either encoding"
                               % JUDICIOUS_MAX_P)
     p1, q1, p2, q2 = found
@@ -202,13 +201,12 @@ def judicious_slope(prob):
                           q1_star=q1s, p1_star=p1s, q2_star=q2s, p2_star=p2s,
                           q_star=prob.phi.q_star, g1=validate_manifold(prob.y1).g,
                           g2=validate_manifold(prob.y2).g,
-                          transcript=transcript)
+                          transcript=tuple(transcript))
 
 
-def _scan_judicious(prob):
-    i1_int, pulled = overlap_region(prob)
-    if not i1_int.intersects(pulled):
-        return None
+def _scan_judicious(prob, i1_int, pulled):
+    """The first judicious (p1, q1, p2, q2) of one encoding, or None; the
+    slopes mu1 are taken from i1_int meet pulled, its overlap region."""
     phi = prob.phi
     q_star = phi.q_star  # > 0 in both encodings
     g1 = validate_manifold(prob.y1).g
@@ -331,8 +329,8 @@ def spliced_manifold(js):
     one-sided products of a complement support with the opposite meridian
     box, and the meridian-shifted product of the two complement supports.
     Each piece is a bitmask over ClassEncoding, an OR of translates whose
-    overlaps are refused, decoded once at the end.  The witness is the
-    image meridian, with surgery label 0.
+    overlaps are refused, and the record holds their OR as its support.
+    The witness is the image meridian, with surgery label 0.
 
     Returns (record, lambda_slope) where lambda_slope = q* m + p* l is the
     slope whose filling is the original gluing (surgery label 1/q*).
@@ -404,9 +402,8 @@ def spliced_manifold(js):
     require(not (gap & onesided or gap & cross or onesided & cross),
             "support pieces overlap")
 
-    gap, onesided, cross = (frozenset(enc.classes(m)) for m in (gap, onesided, cross))
     record = FloerSimpleManifold(group=group, iota_m=iota_m, iota_l=iota_l,
-                                 tauc_support=gap | onesided | cross,
+                                 tauc_bits=gap | onesided | cross,
                                  witness=Slope(p, q))
     validate_manifold(record)
     lam_slope = Slope(q_star, p_star)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .abelian import LONGITUDE, Slope, canonical_longitude, pairing_and_label
+from .abelian import LONGITUDE, Slope, canonical_longitude
 from .errors import (MissingWitness, WitnessOnIntervalBoundary,
                      WitnessOnLongitude, require)
 from .projline import ProjInterval
@@ -42,11 +42,11 @@ def _witness_or_default(Y, mu_L):
     return mu_L
 
 
-def residue_pair(Y, mu_L, d):
-    """(b_minus, b_plus) for one difference-set element at this witness."""
-    rep = validate_manifold(Y)
+def residue_pair(g, mu_L, d):
+    """(b_minus, b_plus) for one difference-set element at this witness,
+    for a record whose longitude image has order g."""
     p, q = mu_L.a, mu_L.b
-    pg = p * rep.g
+    pg = p * g
     b_plus = (p * d.gamma - q * d.delta) % pg
     return b_plus - pg, b_plus
 
@@ -71,7 +71,7 @@ def validate_witness(Y, mu_L=None):
     if mu_L.dot_l == 0:
         raise WitnessOnLongitude("the longitude is never an interior L-space slope")
     for d in dtau(Y).positive:
-        b_minus, b_plus = residue_pair(Y, mu_L, d)
+        b_minus, b_plus = residue_pair(rep.g, mu_L, d)
         if b_plus == 0:
             raise WitnessOnIntervalBoundary(
                 "residue vanishes at delta=%d, gamma=%d; supply a strictly "
@@ -86,23 +86,27 @@ def is_lspace_slope(Y, mu_L, mu):
     """Is the filling along mu an L-space?  Decided from the witness mu_L."""
     mu_L = validate_witness(Y, mu_L)
     positive = dtau(Y).positive
-    beta, n, label = pairing_and_label(mu_L, mu)
+    n = mu.dot_l
     if not positive:
         return n != 0
     if n == 0:
         return False
+    # the label beta/n lies in [b_minus/delta, b_plus/delta]; n > 0 and
+    # delta > 0, so the test cross-multiplies
+    beta = mu_L.pairing(mu)
+    g = validate_manifold(Y).g
     for d in positive:
-        b_minus, b_plus = residue_pair(Y, mu_L, d)
-        if not (Fraction(b_minus, d.delta) <= label <= Fraction(b_plus, d.delta)):
+        b_minus, b_plus = residue_pair(g, mu_L, d)
+        if not b_minus * n <= beta * d.delta <= b_plus * n:
             return False
     return True
 
 
-def endpoint_lifts(Y, mu_L, d):
+def endpoint_lifts(g, mu_L, d):
     """The two lifts of a positive difference-set element adjacent to the
-    witness, as slopes: (lift below, lift above)."""
-    rep = validate_manifold(Y)
-    p, q, g = mu_L.a, mu_L.b, rep.g
+    witness, as slopes: (lift below, lift above), for a record whose
+    longitude image has order g."""
+    p, q = mu_L.a, mu_L.b
     up = -((-q * d.delta) // p)
     dn = (q * d.delta) // p
     hi = Slope(d.delta, up + (d.gamma - up) % g)
@@ -126,18 +130,20 @@ def lspace_interval(Y, mu_L=None):
         return LSpaceIntervalResult(
             kind="all-but-longitude",
             interval=ProjInterval.complement_of_point(LONGITUDE))
-    best_lo = best_hi = None
-    ach_lo = ach_hi = None
+    g = validate_manifold(Y).g
+    # the running bounds b/d.delta are kept as (b, d) and compared by
+    # cross-multiplication (every delta is positive)
+    lo = hi = None
     for d in positive:
-        b_minus, b_plus = residue_pair(Y, mu_L, d)
-        lo_val = Fraction(b_minus, d.delta)
-        hi_val = Fraction(b_plus, d.delta)
-        if best_lo is None or lo_val > best_lo:
-            best_lo, ach_lo = lo_val, d
-        if best_hi is None or hi_val < best_hi:
-            best_hi, ach_hi = hi_val, d
-    slope_lo = endpoint_lifts(Y, mu_L, ach_lo)[0]
-    slope_hi = endpoint_lifts(Y, mu_L, ach_hi)[1]
+        b_minus, b_plus = residue_pair(g, mu_L, d)
+        if lo is None or b_minus * lo[1].delta > lo[0] * d.delta:
+            lo = (b_minus, d)
+        if hi is None or b_plus * hi[1].delta < hi[0] * d.delta:
+            hi = (b_plus, d)
+    (lo_b, ach_lo), (hi_b, ach_hi) = lo, hi
+    best_lo, best_hi = Fraction(lo_b, ach_lo.delta), Fraction(hi_b, ach_hi.delta)
+    slope_lo = endpoint_lifts(g, mu_L, ach_lo)[0]
+    slope_hi = endpoint_lifts(g, mu_L, ach_hi)[1]
     if slope_lo == slope_hi:
         return LSpaceIntervalResult(
             kind="complement-of-point",
@@ -173,8 +179,8 @@ def check_corollary_consistency(Y, mu_L, mu):
     positive = dtau(Y).positive
     verdict_thm = is_lspace_slope(Y, mu_L, mu)
 
-    p, q, g = mu_L.a, mu_L.b, rep.g
-    beta, n, label = pairing_and_label(mu_L, mu)
+    p, g = mu_L.a, rep.g
+    beta, n = mu_L.pairing(mu), mu.dot_l
     lam, q_star, p_star = canonical_longitude(mu_L)
 
     # surgery-coefficient route
@@ -187,16 +193,17 @@ def check_corollary_consistency(Y, mu_L, mu):
         require(rem == 0, "the reference slope does not divide n - beta q*")
         verdict_surgery = True
         for d in positive:
-            b_minus, b_plus = residue_pair(Y, mu_L, d)
+            b_minus, b_plus = residue_pair(g, mu_L, d)
             a_plus, rem = divmod(d.delta - b_plus * q_star, p)
             require(rem == 0, "the reference slope does not divide delta - b+ q*")
             a_minus = a_plus + q_star * g
             if beta == 0:
                 continue
-            if label < 0:
-                ok = Fraction(alpha, beta) <= Fraction(a_minus, b_minus)
+            # n > 0, so the label beta/n has the sign of beta
+            if beta < 0:
+                ok = _ratio_le(alpha, beta, a_minus, b_minus)
             else:
-                ok = Fraction(a_plus, b_plus) <= Fraction(alpha, beta)
+                ok = _ratio_le(a_plus, b_plus, alpha, beta)
             if not ok:
                 verdict_surgery = False
                 break
@@ -209,10 +216,16 @@ def check_corollary_consistency(Y, mu_L, mu):
     else:
         verdict_filling = True
         for d in positive:
-            lo, hi = endpoint_lifts(Y, mu_L, d)
+            lo, hi = endpoint_lifts(g, mu_L, d)
             window = ProjInterval.arc_through(lo, hi, via=mu_L) if lo != hi else None
             if window is None or not window.contains(mu):
                 verdict_filling = False
                 break
 
     return verdict_thm == verdict_surgery == verdict_filling
+
+
+def _ratio_le(x, y, u, v):
+    """x/y <= u/v for nonzero y and v, by cross-multiplication: the
+    difference (x v - u y)/(y v) has the sign of (x v - u y) y v."""
+    return (x * v - u * y) * y * v <= 0

@@ -8,7 +8,8 @@ A manifold Y with torus boundary and b_1 = 1 is recorded by:
     part exactly +g,
   * the finite support of the torsion complement: the normalized torsion
     series has 0/1 coefficients, equals 1 on every class of nonnegative
-    free part outside this finite set, and vanishes on negative free parts,
+    free part outside this finite set, and vanishes on negative free parts;
+    the record holds it as one bitmask over ClassEncoding,
   * optionally a witness slope known to give an L-space filling from the
     interior of the L-space interval.
 
@@ -31,21 +32,56 @@ from .errors import (BadMeridianFreePart, Lemma73Violation, LongitudeFilling,
                      require)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class FloerSimpleManifold:
+    """A torsion record.  The complement support is held as one bitmask,
+    tauc_bits, over ClassEncoding(group.torsion_orders).  Build a record
+    from that mask (tauc_bits=) or from its classes (tauc_support=), which
+    are encoded once; tauc_support decodes the mask on demand."""
     group: FinAbGroup
     iota_m: GroupElement
     iota_l: GroupElement
-    tauc_support: frozenset
+    tauc_bits: int
     witness: Slope = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "tauc_support", frozenset(self.tauc_support))
+    def __init__(self, group, iota_m, iota_l, tauc_support=(), witness=None,
+                 *, tauc_bits=None):
+        if tauc_bits is None:
+            tauc_bits = _support_bits(group, tauc_support)
+        for name, value in (("group", group), ("iota_m", iota_m), ("iota_l", iota_l),
+                            ("tauc_bits", tauc_bits), ("witness", witness)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def tauc_support(self):
+        """The complement support as a frozenset of classes, decoded from
+        tauc_bits on each read."""
+        return frozenset(ClassEncoding(self.group.torsion_orders).classes(self.tauc_bits))
+
+    def __repr__(self):
+        return ("FloerSimpleManifold(group=%r, iota_m=%r, iota_l=%r, tauc_support=%r, "
+                "witness=%r)" % (self.group, self.iota_m, self.iota_l,
+                                 self.tauc_support, self.witness))
 
     def iota(self, slope):
         """iota of a boundary class a*m + b*l, as an element of H_1(Y)."""
         g = self.group
         return g.add(g.scale(slope.a, self.iota_m), g.scale(slope.b, self.iota_l))
+
+
+def _support_bits(group, classes):
+    """The bitmask of a set of complement classes.  Raises
+    NegativePhiInComplement for a class of negative free part, which no
+    bit can hold, and ValueError for a class of another group."""
+    enc = ClassEncoding(group.torsion_orders)
+    codes = []
+    for h in frozenset(classes):
+        if h.free < 0:
+            raise NegativePhiInComplement("complement class %r has negative free part" % (h,))
+        if len(h.torsion) != len(enc.orders):
+            raise ValueError("complement class %r does not match the group" % (h,))
+        codes.append(enc.encode(group.element(h.free, h.torsion)))
+    return bitmask(codes)
 
 
 class ValidationReport(NamedTuple):
@@ -78,8 +114,9 @@ class MilnorReport(NamedTuple):
 def validate_manifold(Y):
     """Check the record invariants and compute g and k.
 
-    Raises NonTorsionLongitude, BadMeridianFreePart, ZeroInComplement or
-    NegativePhiInComplement on malformed input.
+    Raises NonTorsionLongitude, BadMeridianFreePart or ZeroInComplement
+    on malformed input (NegativePhiInComplement is raised when the record
+    is built).
     """
     G = Y.group
     if Y.iota_l.free != 0:
@@ -89,14 +126,9 @@ def validate_manifold(Y):
         raise BadMeridianFreePart(
             "iota(m) must have free part %d (the order of iota(l)), has %d"
             % (g, Y.iota_m.free))
+    if Y.tauc_bits & 1:
+        raise ZeroInComplement("the zero class may not lie in the complement support")
     zero = G.zero()
-    for h in Y.tauc_support:
-        if h.free < 0:
-            raise NegativePhiInComplement("complement class %r has negative free part" % (h,))
-        if h == zero:
-            raise ZeroInComplement("the zero class may not lie in the complement support")
-        if len(h.torsion) != len(G.torsion_orders):
-            raise ValueError("complement class %r does not match the group" % (h,))
     size = G.torsion_size
     # exact subgroup enumeration of <iota(l)>, cross-checked against g
     seen = {zero}
@@ -115,7 +147,8 @@ def tau_coefficient(Y, h):
     validate_manifold(Y)
     if h.free < 0:
         return 0
-    return 0 if h in Y.tauc_support else 1
+    enc, S, _ = complement_bits(Y)
+    return 0 if S >> enc.encode(Y.group.element(h.free, h.torsion)) & 1 else 1
 
 
 class ComplementBits(NamedTuple):
@@ -126,11 +159,9 @@ class ComplementBits(NamedTuple):
 
 @lru_cache(maxsize=None)
 def complement_bits(Y):
-    """The complement support of a record as one bitmask."""
+    """The record's complement-support mask with its encoding and degree."""
     enc = ClassEncoding(Y.group.torsion_orders)
-    tindex = {t.torsion: i for i, t in enumerate(Y.group.torsion_elements())}
-    bits = bitmask(h.free * enc.size + tindex[h.torsion] for h in Y.tauc_support)
-    return ComplementBits(enc, bits, (bits.bit_length() - 1) // enc.size)
+    return ComplementBits(enc, Y.tauc_bits, (Y.tauc_bits.bit_length() - 1) // enc.size)
 
 
 def tauc_degree(Y):
@@ -153,15 +184,13 @@ def milnor_invariants(Y):
     """
     rep = validate_manifold(Y)
     size = rep.torsion_size
-    D = tauc_degree(Y)
-    counts = [0] * (D + 1)
-    for h in Y.tauc_support:
-        counts[h.free] += 1
-    # tau_bar coefficient at i is size - counts[i] (counts empty past D)
+    enc, S, D = complement_bits(Y)
+    level = (1 << enc.size) - 1
+    # tau_bar coefficient at i is size minus the complement classes at level i
     delta_bar = []
     prev = 0
     for i in range(D + 2):
-        cur = size - (counts[i] if i <= D else 0)
+        cur = size - (S >> i * enc.size & level).bit_count()
         delta_bar.append(cur - prev)
         prev = cur
     while len(delta_bar) > 1 and delta_bar[-1] == 0:
@@ -206,22 +235,31 @@ def dtau(Y):
     A boundary-image class d = delta*iota(m) + gamma*iota(l) with
     delta >= 0 belongs to the set exactly when some complement class x
     has x - d of nonnegative free part outside the complement support.
-    The complement support is one bitmask S (complement_bits), so each
-    candidate costs one translation: d belongs exactly when
-    translate(S, -d) & ~S is nonzero.
+    The complement support is one bitmask S (complement_bits), and d
+    belongs exactly when translate(S, -d) & ~S is nonzero.  A torsion
+    translate permutes each free level, so that is the row
+    translate(S, -delta*iota(m)) meeting the translate of the window's
+    complement by gamma*iota(l): the g complements are built once, and the
+    row is walked by one -iota(m) step per delta, exactly, because
+    translates compose when free parts only fall.
     """
     rep = validate_manifold(Y)
     G = Y.group
     enc, S, degree = complement_bits(Y)
+    levels = degree + 1
+    window = (1 << levels * enc.size) - 1
+    neg_m = G.neg(Y.iota_m)
+    multiples = [G.scale(gamma, Y.iota_l) for gamma in range(rep.g)]
+    outside = [enc.translate(window & ~S, h, levels) for h in multiples]
     found = []
-    base = G.zero()
+    base = G.zero()  # delta*iota(m)
+    row = S          # translate(S, -delta*iota(m))
     for delta in range(degree // rep.g + 1):
-        d = base
         for gamma in range(rep.g):
-            if enc.translate(S, G.neg(d), degree + 1) & ~S:
-                found.append(DtauElement(delta, gamma, d))
-            d = G.add(d, Y.iota_l)
+            if row & outside[gamma]:
+                found.append(DtauElement(delta, gamma, G.add(base, multiples[gamma])))
         base = G.add(base, Y.iota_m)
+        row = enc.translate(row, neg_m, levels)
     positive = tuple(e for e in found if e.delta > 0)
     return DtauData(all=tuple(found), positive=positive,
                     elements=frozenset(e.element for e in found))
@@ -324,7 +362,7 @@ def retwist(Y, k):
     if witness is not None:
         witness = Slope(witness.a, witness.b - k * witness.a)
     return FloerSimpleManifold(group=G, iota_m=new_m, iota_l=Y.iota_l,
-                               tauc_support=Y.tauc_support, witness=witness)
+                               tauc_bits=Y.tauc_bits, witness=witness)
 
 
 def slope_after_retwist(slope, k):
@@ -343,12 +381,13 @@ def _reverse_support(Y, negate_torsion):
     basis negation).
     """
     G = Y.group
-    if not Y.tauc_support:
+    support = Y.tauc_support
+    if not support:
         return frozenset()
     D = tauc_degree(Y)
-    top = sorted(h.torsion for h in Y.tauc_support if h.free == D)[0]
+    top = sorted(h.torsion for h in support if h.free == D)[0]
     reflected = set()
-    for h in Y.tauc_support:
+    for h in support:
         if negate_torsion:
             t = tuple((a - b) % n for a, b, n in zip(top, h.torsion, G.torsion_orders))
         else:

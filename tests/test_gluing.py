@@ -256,9 +256,10 @@ def test_a3_count_matches_compatible_pairs():
         js = judicious_slope(prob_trefoils(phi))
         built = spliced_manifold(js)
         data = dtau(built.record)
-        a3 = [d for d in data.all if d.element in built.cross_piece]
+        cross = ClassEncoding(built.record.group.torsion_orders).classes(built.cross_piece)
+        a3 = [d for d in data.all if d.element in cross]
         assert len(a3) == count_compatible_pairs(js)
-        assert len(built.cross_piece) == len(dtau(js.problem.y1).all) * len(dtau(js.problem.y2).all)
+        assert len(cross) == len(dtau(js.problem.y1).all) * len(dtau(js.problem.y2).all)
 
 
 RETWIST_CASES = [

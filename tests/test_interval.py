@@ -3,16 +3,22 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lspace.abelian import LONGITUDE, Slope
+from lspace.abelian import (LONGITUDE, Slope, canonical_longitude,
+                            pairing_and_label)
 from lspace.corpus import (_numerical_semigroup_gaps, gap_record, n_g,
-                           negative_trefoil, solid_torus, t25, trefoil)
+                           negative_trefoil, random_records, solid_torus, t25,
+                           trefoil)
 from lspace.errors import WitnessOnIntervalBoundary, WitnessOnLongitude
-from lspace.interval import (check_corollary_consistency, is_lspace_slope,
-                             lspace_interval, nls_detected, validate_witness)
+from lspace.interval import (_ratio_le, check_corollary_consistency,
+                             endpoint_lifts, is_lspace_slope, lspace_interval,
+                             nls_detected, validate_witness)
 from lspace.projline import ProjInterval
 from lspace.selftest import all_slopes, valid_witnesses
-from lspace.torsion import retwist, slope_after_retwist
+from lspace.torsion import (dtau, retwist, slope_after_retwist,
+                            validate_manifold)
 
 
 def test_validate_witness_examples():
@@ -172,3 +178,106 @@ def test_semigroup_gap_records_interval_closed_form():
         result = lspace_interval(gap_record(gaps))
         assert result.kind == "closed", gaps
         assert (result.lo, result.hi) == (Slope(max(gaps), 1), Slope(1, 0)), gaps
+
+
+# --- the integer label tests against the Fraction formulas -------------------
+
+def fraction_residues(Y, w):
+    """(d, b_minus, b_plus) for each positive difference-set element."""
+    pg = w.a * validate_manifold(Y).g
+    rows = []
+    for d in dtau(Y).positive:
+        b_plus = (w.a * d.gamma - w.b * d.delta) % pg
+        rows.append((d, b_plus - pg, b_plus))
+    return rows
+
+
+def fraction_is_lspace(Y, w, mu):
+    beta, n, label = pairing_and_label(w, mu)
+    rows = fraction_residues(Y, w)
+    if not rows:
+        return n != 0
+    if n == 0:
+        return False
+    return all(Fraction(lo, d.delta) <= label <= Fraction(hi, d.delta)
+               for d, lo, hi in rows)
+
+
+def fraction_label_bounds(Y, w):
+    """(label_bounds, achieving) as lspace_interval reports them."""
+    best_lo = best_hi = None
+    for d, b_minus, b_plus in fraction_residues(Y, w):
+        lo_val, hi_val = Fraction(b_minus, d.delta), Fraction(b_plus, d.delta)
+        if best_lo is None or lo_val > best_lo:
+            best_lo, ach_lo = lo_val, d
+        if best_hi is None or hi_val < best_hi:
+            best_hi, ach_hi = hi_val, d
+    if best_lo is None:
+        return None, None
+    return (best_lo, best_hi), (ach_lo, ach_hi)
+
+
+def fraction_corollary_consistency(Y, w, mu):
+    rows = fraction_residues(Y, w)
+    g = validate_manifold(Y).g
+    beta, n, label = pairing_and_label(w, mu)
+    _, q_star, _ = canonical_longitude(w)
+    if n == 0 or not rows:
+        surgery = filling = n != 0
+    else:
+        alpha = (n - beta * q_star) // w.a
+        surgery = True
+        for d, b_minus, b_plus in rows:
+            a_plus = (d.delta - b_plus * q_star) // w.a
+            a_minus = a_plus + q_star * g
+            if beta == 0:
+                continue
+            if label < 0:
+                ok = Fraction(alpha, beta) <= Fraction(a_minus, b_minus)
+            else:
+                ok = Fraction(a_plus, b_plus) <= Fraction(alpha, beta)
+            if not ok:
+                surgery = False
+                break
+        filling = True
+        for d, _, _ in rows:
+            lo, hi = endpoint_lifts(g, w, d)
+            if lo == hi or not ProjInterval.arc_through(lo, hi, via=w).contains(mu):
+                filling = False
+                break
+    return fraction_is_lspace(Y, w, mu) == surgery == filling
+
+
+LABEL_RECORDS = [(Y, valid_witnesses(Y, 6)) for Y in
+                 [trefoil(), negative_trefoil(), t25(), n_g(2), n_g(3),
+                  solid_torus(), gap_record((1, 2, 4, 5, 8, 11)),
+                  *random_records(seed=5, count=6)]]
+
+
+@st.composite
+def label_triples(draw):
+    Y, witnesses = draw(st.sampled_from(LABEL_RECORDS))
+    w = draw(st.sampled_from(witnesses))
+    a, b = draw(st.tuples(st.integers(-15, 15), st.integers(-15, 15))
+                .filter(lambda ab: ab != (0, 0)))
+    return Y, w, Slope(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_triples())
+def test_integer_label_tests_match_fractions(triple):
+    Y, w, mu = triple
+    assert is_lspace_slope(Y, w, mu) == fraction_is_lspace(Y, w, mu)
+    r = lspace_interval(Y, w)
+    assert (r.label_bounds, r.achieving) == fraction_label_bounds(Y, w)
+    assert check_corollary_consistency(Y, w, mu) == fraction_corollary_consistency(Y, w, mu)
+
+
+nonzero = st.integers(-50, 50).filter(bool)
+
+
+@given(st.integers(-50, 50), nonzero, st.integers(-50, 50), nonzero)
+@example(1, -2, 1, 2)
+@example(-1, 2, 1, -2)
+def test_ratio_le_matches_fractions(x, y, u, v):
+    assert _ratio_le(x, y, u, v) == (Fraction(x, y) <= Fraction(u, v))

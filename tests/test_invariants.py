@@ -27,7 +27,8 @@ def test_gluing_suite_under_optimize():
     run = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          *(str(ROOT / "tests" / name) for name in
-           ("test_gluing.py", "test_seifert.py", "test_cfd.py", "test_golden_cli.py"))],
+           ("test_gluing.py", "test_seifert.py", "test_cfd.py", "test_golden_cli.py",
+            "test_torsion.py", "test_interval.py"))],
         capture_output=True, text=True, cwd=ROOT, env=env)
     assert run.returncode == 0, run.stdout + run.stderr
     assert " passed" in run.stdout

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from lspace.abelian import FinAbGroup, GroupElement, Slope
 from lspace.corpus import gap_record, n_g, solid_torus, t25, trefoil
-from lspace.errors import (Lemma73Violation, LongitudeFilling,
-                           NonTorsionLongitude, NotFloerSimpleSlope,
-                           ZeroInComplement)
-from lspace.torsion import (FloerSimpleManifold, conj_record, dtau,
+from lspace.errors import (LSpaceError, Lemma73Violation, LongitudeFilling,
+                           NegativePhiInComplement, NonTorsionLongitude,
+                           NotFloerSimpleSlope, ZeroInComplement)
+from lspace.torsion import (FloerSimpleManifold, _hfk_support_from_iota,
+                            complement_bits, conj_record, dtau,
                             filling_homology_order, gamma_closed, hfk_support,
                             iota_coordinates, manifold_from_json,
                             manifold_to_json, milnor_invariants, retwist,
@@ -65,6 +66,18 @@ def test_validate_rejects_zero_in_complement():
                             tauc_support=frozenset({GroupElement(0, ())}))
     with pytest.raises(ZeroInComplement):
         validate_manifold(Y)
+
+
+def test_record_rejects_classes_no_bit_can_hold():
+    G = FinAbGroup((2,))
+    with pytest.raises(NegativePhiInComplement, match="negative free part"):
+        FloerSimpleManifold(group=G, iota_m=GroupElement(2, (0,)),
+                            iota_l=GroupElement(0, (1,)),
+                            tauc_support={GroupElement(1, (1,)), GroupElement(-1, (0,))})
+    with pytest.raises(ValueError, match="does not match the group"):
+        FloerSimpleManifold(group=G, iota_m=GroupElement(2, (0,)),
+                            iota_l=GroupElement(0, (1,)),
+                            tauc_support={GroupElement(1, (1, 0))})
 
 
 def test_validate_rejects_nontorsion_longitude():
@@ -222,6 +235,32 @@ def test_dtau_matches_brute_force_differences(Y):
     assert [tuple(e) for e in data.all] == expected
     assert [tuple(e) for e in data.positive] == [e for e in expected if e[0] > 0]
     assert data.elements == frozenset(e[2] for e in expected)
+
+
+def _outcome(fn, *args):
+    """fn(*args) from cold caches, or the class and message it raised."""
+    for cached in (validate_manifold, complement_bits, milnor_invariants, dtau,
+                   _hfk_support_from_iota):
+        cached.cache_clear()
+    try:
+        return fn(*args)
+    except LSpaceError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(records())
+def test_record_from_classes_matches_record_from_bits(Y):
+    Z = FloerSimpleManifold(group=Y.group, iota_m=Y.iota_m, iota_l=Y.iota_l,
+                            tauc_bits=Y.tauc_bits, witness=Y.witness)
+    assert Z == Y and hash(Z) == hash(Y)
+    assert Z.tauc_support == Y.tauc_support
+    assert FloerSimpleManifold(group=Y.group, iota_m=Y.iota_m, iota_l=Y.iota_l,
+                               tauc_support=Z.tauc_support) == Y
+    mu = Y.group.add(Y.iota_m, Y.iota_l)
+    for fn, args in ((validate_manifold, ()), (milnor_invariants, ()), (dtau, ()),
+                     (hfk_support, (mu,)), (manifold_to_json, ())):
+        assert _outcome(fn, Z, *args) == _outcome(fn, Y, *args), fn
 
 
 def test_dtau_n_family_positive_empty():
