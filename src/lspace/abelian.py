@@ -12,7 +12,7 @@ is used anywhere.
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -30,6 +30,7 @@ class FinAbGroup:
     """The group Z + T, with T a product of cyclic groups of the given orders.
 
     Every order must be at least 2; an empty tuple means T is trivial.
+    The group's ClassEncoding is built once, on first use.
     """
     torsion_orders: tuple
 
@@ -39,12 +40,13 @@ class FinAbGroup:
             raise ValueError("cyclic orders must be >= 2, got %r" % (orders,))
         object.__setattr__(self, "torsion_orders", orders)
 
+    @cached_property
+    def encoding(self):
+        return ClassEncoding(self.torsion_orders)
+
     @property
     def torsion_size(self):
-        size = 1
-        for n in self.torsion_orders:
-            size *= n
-        return size
+        return self.encoding.size
 
     def element(self, free, torsion=()):
         """Build a reduced element from a free part and torsion residues."""

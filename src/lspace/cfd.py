@@ -81,11 +81,6 @@ def _auto_mu(Y, witness):
     raise MissingWitness("no admissible framing slope found")
 
 
-def _iota_raw(Y, a, b):
-    G = Y.group
-    return G.add(G.scale(a, Y.iota_m), G.scale(b, Y.iota_l))
-
-
 def build_cfd(Y, witness=None, mu=None, lam=None):
     """Build the graph at the framing (mu, lambda).
 
@@ -114,7 +109,7 @@ def build_cfd(Y, witness=None, mu=None, lam=None):
         # orient the representative so that mu . lambda = +1
         raw = (lam.a, lam.b) if mu.pairing(lam) == 1 else (-lam.a, -lam.b)
         lam0, N = None, 0
-    graph = _graph_from_supports(Y, Y.iota(mu), _iota_raw(Y, *raw))
+    graph = _graph_from_supports(Y, Y.iota(mu), Y.iota_ab(*raw))
     return CfdBuild(graph=graph, mu=mu, lam=lam, lam0=lam0, twist_count=N)
 
 
@@ -235,9 +230,8 @@ def cfd_twist_compare(Y):
         N = 1
         while N * rep.g <= spread:
             N += 1
-        graph = _graph_from_supports(Y, _iota_raw(Y, 1, 0), _iota_raw(Y, -N, 1))
-        graph2 = _graph_from_supports(Y, _iota_raw(Y, 1, 1),
-                                      _iota_raw(Y, -N, 1 - N))
+        graph = _graph_from_supports(Y, Y.iota_ab(1, 0), Y.iota_ab(-N, 1))
+        graph2 = _graph_from_supports(Y, Y.iota_ab(1, 1), Y.iota_ab(-N, 1 - N))
     except LSpaceError as exc:
         return TwistCompareReport(gst=gst, isomorphic=False,
                                   note=note or str(exc))

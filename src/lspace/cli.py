@@ -89,9 +89,9 @@ def cmd_dtau(manifold):
     Y = manifold_from_json(manifold)
     data = dtau(Y)
     def row(d):
+        element = Y.iota_ab(d.delta, d.gamma)
         return {"delta": d.delta, "gamma": d.gamma,
-                "element": {"free": d.element.free,
-                            "torsion": list(d.element.torsion)}}
+                "element": {"free": element.free, "torsion": list(element.torsion)}}
     return {"dtau": [row(d) for d in data.all],
             "dtau_positive": [row(d) for d in data.positive]}
 

@@ -78,13 +78,12 @@ def color(Y, mu, h):
 @lru_cache(maxsize=None)
 def _support_differences(Y, iota_mu):
     """Pairwise differences of the knot-Floer support as encoded classes,
-    with the free-part span and the encoding."""
+    with the free-part span."""
     support = hfk_support(Y, iota_mu)
-    G = Y.group
-    enc = ClassEncoding(G.torsion_orders)
+    G, enc = Y.group, Y.group.encoding
     diffs = frozenset(enc.encode(G.sub(x2, x1)) for x1 in support for x2 in support)
     frees = [x.free for x in support]
-    return diffs, max(frees) - min(frees), enc
+    return diffs, max(frees) - min(frees)
 
 
 def _oracle_fast(Y, mu, beta, n_coeff, alpha):
@@ -99,7 +98,7 @@ def _oracle_fast(Y, mu, beta, n_coeff, alpha):
     """
     G = Y.group
     iota_mu = Y.iota(mu)
-    diffs, span, enc = _support_differences(Y, iota_mu)
+    diffs, span = _support_differences(Y, iota_mu)
     lam1, q_star, p_star = canonical_longitude(mu)
     rep = validate_manifold(Y)
     g = rep.g
@@ -121,7 +120,7 @@ def _oracle_fast(Y, mu, beta, n_coeff, alpha):
                 if cur + j * pg in diffs:
                     return False
         return True
-    tsize, weights = enc.size, enc.weights
+    tsize, weights = G.encoding.size, G.encoding.weights
     lam_t = tuple((sigma * a) % n for a, n in zip(Y.iota(lam1).torsion, orders))
     mu_t = iota_mu.torsion
     cur_free = 0

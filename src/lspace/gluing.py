@@ -24,8 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .abelian import (ClassEncoding, FinAbGroup, GluingMatrix, GroupElement,
-                      Slope, canonical_longitude, quotient_by_relation,
+from .abelian import (FinAbGroup, GluingMatrix, GroupElement, Slope,
+                      canonical_longitude, quotient_by_relation,
                       window_slope_qs)
 from .errors import (HypothesisNotMet, NotRationalHomologySphere,
                      SearchExhausted, reads_input, require)
@@ -59,7 +59,7 @@ class SplicedRecord:
     record: FloerSimpleManifold
     lam_slope: Slope
     gap_piece: int        # the three support pieces, as bitmasks over
-    onesided_piece: int   # ClassEncoding(record.group.torsion_orders)
+    onesided_piece: int   # record.group.encoding
     cross_piece: int
 
 
@@ -119,15 +119,12 @@ def _reverse_side2(prob):
 
 
 def normalize_splice(prob):
-    """Re-encode so that q* > 0, preserving all verdicts.  Returns the
-    new problem and a transcript of the re-encodings applied."""
-    transcript = []
+    """Re-encode so that q* > 0, preserving all verdicts."""
     if prob.phi.q_star == 0:
         raise NotRationalHomologySphere("q* = 0: the gluing has b_1 > 0")
     if prob.phi.q_star < 0:
         prob = _conj_problem(prob)
-        transcript.append("negated both longitudes and reversed both orientations")
-    return prob, transcript
+    return prob
 
 
 @dataclass(frozen=True)
@@ -136,19 +133,16 @@ class JudiciousSlope:
     mu1: Slope
     mu2: Slope
     lambda1: Slope
-    lambda2: tuple           # raw integer coordinates (may be non-primitive sign)
     p1: int
     q1: int
     p2: int
     q2: int
     q1_star: int
-    p1_star: int
     q2_star: int
     p2_star: int
     q_star: int
     g1: int
     g2: int
-    transcript: tuple
 
     @property
     def qbar1(self):
@@ -173,14 +167,13 @@ def judicious_slope(prob):
     side's basis is negated (with the q* sign repaired) and the search
     runs again.
     """
-    prob, transcript = normalize_splice(prob)
+    prob = normalize_splice(prob)
     i1_int, pulled = overlap_region(prob)
     if not i1_int.intersects(pulled):
         raise HypothesisNotMet("interval interiors do not overlap under the gluing")
     found = _scan_judicious(prob, i1_int, pulled)
     if found is None:
         prob = _conj_problem(_reverse_side2(prob))
-        transcript.append("negated the second boundary basis (and re-normalized q*)")
         i1_int, pulled = overlap_region(prob)
         if i1_int.intersects(pulled):
             found = _scan_judicious(prob, i1_int, pulled)
@@ -189,19 +182,17 @@ def judicious_slope(prob):
                               % JUDICIOUS_MAX_P)
     p1, q1, p2, q2 = found
     # canonical longitude on side one; side two longitude is -phi(lambda1)
-    lam1, q1s, p1s = canonical_longitude(Slope(p1, q1))
+    lam1, q1s, _ = canonical_longitude(Slope(p1, q1))
     lx, ly = prob.phi.apply_raw(lam1.a, lam1.b)
     q2s, p2s = -lx, -ly
-    require(p2 * p2s - q2 * q2s == 1, "mu2 . lambda2 is not 1")
+    require(p2 * p2s - q2 * q2s == 1, "mu2 does not pair to 1 with its longitude")
     require(q1s * p2 + q2s * p1 == prob.phi.q_star,
             "the splice longitudes do not pair to q*")
     return JudiciousSlope(problem=prob, mu1=Slope(p1, q1), mu2=Slope(p2, q2),
-                          lambda1=lam1, lambda2=(q2s, p2s),
-                          p1=p1, q1=q1, p2=p2, q2=q2,
-                          q1_star=q1s, p1_star=p1s, q2_star=q2s, p2_star=p2s,
+                          lambda1=lam1, p1=p1, q1=q1, p2=p2, q2=q2,
+                          q1_star=q1s, q2_star=q2s, p2_star=p2s,
                           q_star=prob.phi.q_star, g1=validate_manifold(prob.y1).g,
-                          g2=validate_manifold(prob.y2).g,
-                          transcript=tuple(transcript))
+                          g2=validate_manifold(prob.y2).g)
 
 
 def _scan_judicious(prob, i1_int, pulled):
@@ -211,7 +202,10 @@ def _scan_judicious(prob, i1_int, pulled):
     q_star = phi.q_star  # > 0 in both encodings
     g1 = validate_manifold(prob.y1).g
     g2 = validate_manifold(prob.y2).g
-    floor_p2 = max(q_star, (1 + tauc_degree(prob.y1)) * (1 + tauc_degree(prob.y2)))
+    # an empty support has degree -1 and counts as degree 0, so that
+    # p_i > floor_p2 gives p_i > deg_i on both sides
+    floor_p2 = max(q_star, (1 + max(tauc_degree(prob.y1), 0))
+                   * (1 + max(tauc_degree(prob.y2), 0)))
     for p1 in range(floor_p2 + 1, JUDICIOUS_MAX_P + 1):
         # gcd(p1, g2) = 1, and gcd(p1, p2) = gcd(p1, q* q1) = 1 once q1 is
         # prime to p1
@@ -359,8 +353,7 @@ def spliced_manifold(js):
     iota_muL = f1(im1)
     require(iota_muL == f2(im2), "the two meridian images differ")
     il1 = f1(Y1.iota(js.lambda1))
-    q2s, p2s = js.q2_star, js.p2_star
-    il2 = f2(G2.add(G2.scale(q2s, Y2.iota_m), G2.scale(p2s, Y2.iota_l)))
+    il2 = f2(Y2.iota_ab(js.q2_star, js.p2_star))
     iota_lamL = group.add(il1, il2)
 
     p = js.p1 * js.p2
@@ -381,15 +374,15 @@ def spliced_manifold(js):
     g0 = gcd(js.g1, js.g2)
     require(g == js.g1 * js.g2 // g0, "spliced g = %d is not lcm(g1, g2)", g)
 
-    enc = ClassEncoding(orders)
+    enc = group.encoding
     box1 = _meridian_box(enc, group, f1, G1, js.p1 * js.g1)
     box2 = _meridian_box(enc, group, f2, G2, js.p2 * js.g2)
     tc1 = [f1(h) for h in Y1.tauc_support]
     tc2 = [f2(h) for h in Y2.tauc_support]
     bits1 = _sumset(enc, 1, tc1, "complement support")
     bits2 = _sumset(enc, 1, tc2, "complement support")
-    # p_i > (1 + deg1)(1 + deg2) gives p_i g_i > deg_i, so tc_i lies in box_i
-    # and tc1*box2 + box1*tc2 - tc1*tc2 = tc1*(box2 \ tc2) + box1*tc2
+    # p_i > (1 + max(deg1, 0))(1 + max(deg2, 0)) gives p_i g_i > deg_i, so tc_i
+    # lies in box_i and tc1*box2 + box1*tc2 - tc1*tc2 = tc1*(box2 \ tc2) + box1*tc2
     require(not bits1 & ~box1 and not bits2 & ~box2,
             "a complement support leaves its meridian box")
     gap = _principal_gap_piece(enc, group, box1, f2, G2)

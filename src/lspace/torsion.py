@@ -9,7 +9,7 @@ A manifold Y with torus boundary and b_1 = 1 is recorded by:
   * the finite support of the torsion complement: the normalized torsion
     series has 0/1 coefficients, equals 1 on every class of nonnegative
     free part outside this finite set, and vanishes on negative free parts;
-    the record holds it as one bitmask over ClassEncoding,
+    the record holds it as one bitmask over its group's ClassEncoding,
   * optionally a witness slope known to give an L-space filling from the
     interior of the L-space interval.
 
@@ -24,8 +24,8 @@ from functools import lru_cache
 from math import prod
 from typing import NamedTuple
 
-from .abelian import (ClassEncoding, FinAbGroup, GroupElement, Slope,
-                      bitmask, quotient_by_relation)
+from .abelian import (FinAbGroup, GroupElement, Slope, bitmask,
+                      quotient_by_relation)
 from .errors import (BadMeridianFreePart, Lemma73Violation, LongitudeFilling,
                      NegativePhiInComplement, NonTorsionLongitude,
                      NotFloerSimpleSlope, ZeroInComplement, reads_input,
@@ -35,9 +35,9 @@ from .errors import (BadMeridianFreePart, Lemma73Violation, LongitudeFilling,
 @dataclass(frozen=True, init=False, repr=False)
 class FloerSimpleManifold:
     """A torsion record.  The complement support is held as one bitmask,
-    tauc_bits, over ClassEncoding(group.torsion_orders).  Build a record
-    from that mask (tauc_bits=) or from its classes (tauc_support=), which
-    are encoded once; tauc_support decodes the mask on demand."""
+    tauc_bits, over group.encoding.  Build a record from that mask
+    (tauc_bits=) or from its classes (tauc_support=), which are encoded
+    once; tauc_support decodes the mask on demand."""
     group: FinAbGroup
     iota_m: GroupElement
     iota_l: GroupElement
@@ -56,7 +56,7 @@ class FloerSimpleManifold:
     def tauc_support(self):
         """The complement support as a frozenset of classes, decoded from
         tauc_bits on each read."""
-        return frozenset(ClassEncoding(self.group.torsion_orders).classes(self.tauc_bits))
+        return frozenset(self.group.encoding.classes(self.tauc_bits))
 
     def __repr__(self):
         return ("FloerSimpleManifold(group=%r, iota_m=%r, iota_l=%r, tauc_support=%r, "
@@ -64,16 +64,20 @@ class FloerSimpleManifold:
                                  self.tauc_support, self.witness))
 
     def iota(self, slope):
-        """iota of a boundary class a*m + b*l, as an element of H_1(Y)."""
+        """iota of a boundary slope, as an element of H_1(Y)."""
+        return self.iota_ab(slope.a, slope.b)
+
+    def iota_ab(self, a, b):
+        """iota of the boundary class a*m + b*l, for any integers a, b."""
         g = self.group
-        return g.add(g.scale(slope.a, self.iota_m), g.scale(slope.b, self.iota_l))
+        return g.add(g.scale(a, self.iota_m), g.scale(b, self.iota_l))
 
 
 def _support_bits(group, classes):
     """The bitmask of a set of complement classes.  Raises
     NegativePhiInComplement for a class of negative free part, which no
     bit can hold, and ValueError for a class of another group."""
-    enc = ClassEncoding(group.torsion_orders)
+    enc = group.encoding
     codes = []
     for h in frozenset(classes):
         if h.free < 0:
@@ -91,15 +95,14 @@ class ValidationReport(NamedTuple):
 
 
 class DtauElement(NamedTuple):
+    """The class delta*iota(m) + gamma*iota(l) (Y.iota_ab(delta, gamma))."""
     delta: int      # free part divided by g
-    gamma: int      # residue mod g with element = delta*iota(m) + gamma*iota(l)
-    element: GroupElement
+    gamma: int      # residue mod g
 
 
 class DtauData(NamedTuple):
     all: tuple       # D^tau including torsion elements (delta = 0)
     positive: tuple  # the delta > 0 part
-    elements: frozenset
 
 
 class MilnorReport(NamedTuple):
@@ -147,26 +150,13 @@ def tau_coefficient(Y, h):
     validate_manifold(Y)
     if h.free < 0:
         return 0
-    enc, S, _ = complement_bits(Y)
-    return 0 if S >> enc.encode(Y.group.element(h.free, h.torsion)) & 1 else 1
-
-
-class ComplementBits(NamedTuple):
-    encoding: ClassEncoding
-    bits: int       # the complement support as a bitmask over encoding
-    degree: int     # max free part over the support; -1 if it is empty
-
-
-@lru_cache(maxsize=None)
-def complement_bits(Y):
-    """The record's complement-support mask with its encoding and degree."""
-    enc = ClassEncoding(Y.group.torsion_orders)
-    return ComplementBits(enc, Y.tauc_bits, (Y.tauc_bits.bit_length() - 1) // enc.size)
+    code = Y.group.encoding.encode(Y.group.element(h.free, h.torsion))
+    return 0 if Y.tauc_bits >> code & 1 else 1
 
 
 def tauc_degree(Y):
     """Max free part over the complement support; -1 if the support is empty."""
-    return complement_bits(Y).degree
+    return (Y.tauc_bits.bit_length() - 1) // Y.group.encoding.size
 
 
 @lru_cache(maxsize=None)
@@ -184,13 +174,13 @@ def milnor_invariants(Y):
     """
     rep = validate_manifold(Y)
     size = rep.torsion_size
-    enc, S, D = complement_bits(Y)
-    level = (1 << enc.size) - 1
-    # tau_bar coefficient at i is size minus the complement classes at level i
+    # tau_bar coefficient at i is size minus the complement classes at
+    # level i, counted in one pass over the mask's digits
+    digits = bin(Y.tauc_bits)[:1:-1]
     delta_bar = []
     prev = 0
-    for i in range(D + 2):
-        cur = size - (S >> i * enc.size & level).bit_count()
+    for i in range(tauc_degree(Y) + 2):
+        cur = size - digits.count("1", i * size, (i + 1) * size)
         delta_bar.append(cur - prev)
         prev = cur
     while len(delta_bar) > 1 and delta_bar[-1] == 0:
@@ -235,7 +225,7 @@ def dtau(Y):
     A boundary-image class d = delta*iota(m) + gamma*iota(l) with
     delta >= 0 belongs to the set exactly when some complement class x
     has x - d of nonnegative free part outside the complement support.
-    The complement support is one bitmask S (complement_bits), and d
+    The complement support is one bitmask S (Y.tauc_bits), and d
     belongs exactly when translate(S, -d) & ~S is nonzero.  A torsion
     translate permutes each free level, so that is the row
     translate(S, -delta*iota(m)) meeting the translate of the window's
@@ -244,25 +234,23 @@ def dtau(Y):
     translates compose when free parts only fall.
     """
     rep = validate_manifold(Y)
-    G = Y.group
-    enc, S, degree = complement_bits(Y)
+    G, S = Y.group, Y.tauc_bits
+    enc = G.encoding
+    degree = tauc_degree(Y)
     levels = degree + 1
     window = (1 << levels * enc.size) - 1
     neg_m = G.neg(Y.iota_m)
-    multiples = [G.scale(gamma, Y.iota_l) for gamma in range(rep.g)]
-    outside = [enc.translate(window & ~S, h, levels) for h in multiples]
+    outside = [enc.translate(window & ~S, G.scale(gamma, Y.iota_l), levels)
+               for gamma in range(rep.g)]
     found = []
-    base = G.zero()  # delta*iota(m)
-    row = S          # translate(S, -delta*iota(m))
+    row = S  # translate(S, -delta*iota(m))
     for delta in range(degree // rep.g + 1):
         for gamma in range(rep.g):
             if row & outside[gamma]:
-                found.append(DtauElement(delta, gamma, G.add(base, multiples[gamma])))
-        base = G.add(base, Y.iota_m)
+                found.append(DtauElement(delta, gamma))
         row = enc.translate(row, neg_m, levels)
     positive = tuple(e for e in found if e.delta > 0)
-    return DtauData(all=tuple(found), positive=positive,
-                    elements=frozenset(e.element for e in found))
+    return DtauData(all=tuple(found), positive=positive)
 
 
 def gamma_closed(Y, bound=None):
@@ -271,27 +259,22 @@ def gamma_closed(Y, bound=None):
 
     Past the largest free part of D^tau the check is vacuous, so passing
     bound=None checks everything that can fail.  Returns (True, None) or
-    (False, (x, y)) with a counterexample pair.
+    (False, (x, y)) with a counterexample pair of group elements.
+
+    An image class is a pair (delta, gamma), the class
+    delta*iota(m) + gamma*iota(l) of free part delta*g; pairs add as
+    (delta1 + delta2, (gamma1 + gamma2) mod g).
     """
-    rep = validate_manifold(Y)
-    data = dtau(Y)
-    max_phi = max((e.element.free for e in data.all), default=-1)
+    g = validate_manifold(Y).g
+    members = set(dtau(Y).all)
     if bound is None:
-        bound = max_phi + rep.g
-    gamma_members = []
-    delta_max = bound // rep.g if rep.g else 0
-    for delta in range(delta_max + 1):
-        for gam in range(rep.g):
-            elt = Y.group.add(Y.group.scale(delta, Y.iota_m),
-                              Y.group.scale(gam, Y.iota_l))
-            if elt not in data.elements:
-                gamma_members.append(elt)
-    for i, x in enumerate(gamma_members):
-        for y in gamma_members[i:]:
-            if x.free + y.free > bound:
-                continue
-            if Y.group.add(x, y) in data.elements:
-                return (False, (x, y))
+        bound = max((d * g for d, _ in members), default=-1) + g
+    outside = [(delta, gamma) for delta in range(bound // g + 1) for gamma in range(g)
+               if (delta, gamma) not in members]
+    for i, (d1, c1) in enumerate(outside):
+        for d2, c2 in outside[i:]:
+            if (d1 + d2) * g <= bound and (d1 + d2, (c1 + c2) % g) in members:
+                return (False, (Y.iota_ab(d1, c1), Y.iota_ab(d2, c2)))
     return (True, None)
 
 
@@ -305,10 +288,10 @@ def _hfk_support_from_iota(Y, iota_mu):
     Over the free levels 0..degree + free(iota_mu), tau is the window with
     the complement support cleared; the support is tau minus its translate
     by iota_mu, and a translate class outside tau is a difference of -1."""
-    enc, S, degree = complement_bits(Y)
-    levels = degree + 1 + iota_mu.free
+    enc = Y.group.encoding
+    levels = tauc_degree(Y) + 1 + iota_mu.free
     window = (1 << levels * enc.size) - 1
-    tau = window & ~S
+    tau = window & ~Y.tauc_bits
     shifted = enc.translate(tau, iota_mu, levels) & window
     drop = shifted & ~tau
     if drop:
@@ -356,12 +339,10 @@ def filling_homology_order(Y, mu):
 def retwist(Y, k):
     """Re-encode with m replaced by m + k*l.  The torsion data and group
     are unchanged; iota(m) and the witness pick up the twist."""
-    G = Y.group
-    new_m = G.add(Y.iota_m, G.scale(k, Y.iota_l))
     witness = Y.witness
     if witness is not None:
         witness = Slope(witness.a, witness.b - k * witness.a)
-    return FloerSimpleManifold(group=G, iota_m=new_m, iota_l=Y.iota_l,
+    return FloerSimpleManifold(group=Y.group, iota_m=Y.iota_ab(1, k), iota_l=Y.iota_l,
                                tauc_bits=Y.tauc_bits, witness=witness)
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 from lspace.abelian import (ClassEncoding, FinAbGroup, GluingMatrix,
                             GroupElement, Slope, bitmask, pairing_and_label,
                             quotient_by_relation)
-from lspace.corpus import n_g, solid_torus, t25, trefoil
+from lspace.corpus import (n_g, random_records, solid_torus, standard_corpus,
+                           t25, trefoil)
 from lspace.errors import HypothesisNotMet, InvariantViolation
 from lspace.gluing import (SpliceProblem, _principal_gap_piece, b_sets,
                            condition_systems, judicious_slope,
                            splice_equivalence, splice_is_lspace,
                            spliced_manifold)
+from lspace.interval import is_lspace_slope
 from lspace.torsion import dtau, retwist, validate_manifold
 
 
@@ -85,7 +88,7 @@ def test_spliced_manifold_named():
     a1 = {13 + 6 * k for k in range(13)}
     a2 = {6 + 13 * j for j in range(6)}
     a3 = {78 + 13 + 6}
-    assert {d.element.free for d in data.all} == gaps | a1 | a2 | a3
+    assert {rec.iota_ab(d.delta, d.gamma).free for d in data.all} == gaps | a1 | a2 | a3
     assert len(data.all) == len(gaps) + len(a1 | a2) + len(a3)
 
 
@@ -256,8 +259,9 @@ def test_a3_count_matches_compatible_pairs():
         js = judicious_slope(prob_trefoils(phi))
         built = spliced_manifold(js)
         data = dtau(built.record)
-        cross = ClassEncoding(built.record.group.torsion_orders).classes(built.cross_piece)
-        a3 = [d for d in data.all if d.element in cross]
+        rec = built.record
+        cross = ClassEncoding(rec.group.torsion_orders).classes(built.cross_piece)
+        a3 = [d for d in data.all if rec.iota_ab(d.delta, d.gamma) in cross]
         assert len(a3) == count_compatible_pairs(js)
         assert len(cross) == len(dtau(js.problem.y1).all) * len(dtau(js.problem.y2).all)
 
@@ -294,3 +298,29 @@ def test_equivalence_covariant_under_retwist(name1, name2, rows, k):
     assert verdicts == _verdicts_or_none(untwisted)
     if verdicts is not None:
         assert len(set(verdicts.values())) == 1, verdicts
+
+
+def test_empty_support_keeps_the_other_support_in_its_meridian_box():
+    # the solid torus has an empty complement support (degree -1); the
+    # judicious floor must still give p1 g1 > 4, the degree of this record
+    Y = random_records(seed=1, count=5)[4]
+    prob = SpliceProblem(Y, solid_torus(), GluingMatrix(1, 1, -2, -3))
+    assert splice_equivalence(prob) == dict.fromkeys(
+        ("cover", "conditions_l", "conditions_i", "spliced_interval"), False)
+
+
+# every gluing matrix with entries in [-2, 2] and q* != 0
+SMALL_GLUINGS = [GluingMatrix(*e) for e in product(range(-2, 3), repeat=4)
+                 if e[0] * e[3] - e[1] * e[2] == -1 and e[1] != 0]
+
+
+def test_gluing_to_the_solid_torus_is_dehn_filling():
+    # the solid torus record sends l to 0, so phi^-1(l2) is the filling
+    # slope on Y, and all four routes must give that filling's verdict
+    assert len(SMALL_GLUINGS) == 42
+    records = [*standard_corpus().values(), *random_records(seed=1, count=5)]
+    for Y, phi in product(records, SMALL_GLUINGS):
+        prob = SpliceProblem(Y, solid_torus(), phi)
+        filling = is_lspace_slope(Y, Y.witness, phi.inverse().apply_slope(Slope(0, 1)))
+        assert splice_is_lspace(prob).lspace == filling, (Y, phi)
+        assert set(splice_equivalence(prob).values()) == {filling}, (Y, phi)

@@ -28,7 +28,8 @@ def test_gluing_suite_under_optimize():
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          *(str(ROOT / "tests" / name) for name in
            ("test_gluing.py", "test_seifert.py", "test_cfd.py", "test_golden_cli.py",
-            "test_torsion.py", "test_interval.py"))],
+            "test_torsion.py", "test_interval.py", "test_abelian.py", "test_corpus.py",
+            "test_projline.py"))],
         capture_output=True, text=True, cwd=ROOT, env=env)
     assert run.returncode == 0, run.stdout + run.stderr
     assert " passed" in run.stdout

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,8 @@ from lspace.corpus import gap_record, n_g, solid_torus, t25, trefoil
 from lspace.errors import (LSpaceError, Lemma73Violation, LongitudeFilling,
                            NegativePhiInComplement, NonTorsionLongitude,
                            NotFloerSimpleSlope, ZeroInComplement)
-from lspace.torsion import (FloerSimpleManifold, _hfk_support_from_iota,
-                            complement_bits, conj_record, dtau,
+from lspace.torsion import (DtauData, DtauElement, FloerSimpleManifold,
+                            _hfk_support_from_iota, conj_record, dtau,
                             filling_homology_order, gamma_closed, hfk_support,
                             iota_coordinates, manifold_from_json,
                             manifold_to_json, milnor_invariants, retwist,
@@ -193,7 +194,7 @@ def test_dtau_exhaustive_difference_oracle():
         for y in support:
             if 0 <= y.free <= x.free:
                 expected.add(x.free - y.free)
-    assert {d.element.free for d in dtau(Y).all} == expected
+    assert {Y.iota_ab(d.delta, d.gamma).free for d in dtau(Y).all} == expected
     assert [(d.delta, d.gamma) for d in dtau(Y).positive] == [(1, 0), (3, 0)]
 
 
@@ -230,17 +231,56 @@ def test_dtau_matches_brute_force_differences(Y):
         for gamma in range(g):
             d = G.add(G.scale(delta, Y.iota_m), G.scale(gamma, Y.iota_l))
             if any(G.sub(x, d).free >= 0 and G.sub(x, d) not in S for x in S):
-                expected.append((delta, gamma, d))
+                expected.append((delta, gamma))
     data = dtau(Y)
     assert [tuple(e) for e in data.all] == expected
     assert [tuple(e) for e in data.positive] == [e for e in expected if e[0] > 0]
-    assert data.elements == frozenset(e[2] for e in expected)
+
+
+def gamma_closed_over_elements(Y, data, bound=None):
+    """Reference for gamma_closed with data standing for D^tau: the same
+    search over group elements, with D^tau as the set of its classes."""
+    rep = validate_manifold(Y)
+    G = Y.group
+    elements = {Y.iota_ab(d.delta, d.gamma) for d in data.all}
+    if bound is None:
+        bound = max((h.free for h in elements), default=-1) + rep.g
+    members = []
+    for delta in range(bound // rep.g + 1):
+        for gam in range(rep.g):
+            elt = G.add(G.scale(delta, Y.iota_m), G.scale(gam, Y.iota_l))
+            if elt not in elements:
+                members.append(elt)
+    for i, x in enumerate(members):
+        for y in members[i:]:
+            if x.free + y.free <= bound and G.add(x, y) in elements:
+                return (False, (x, y))
+    return (True, None)
+
+
+@st.composite
+def records_with_pair_sets(draw):
+    """A record and an arbitrary set of (delta, gamma) pairs, which need
+    not be closed as the complement of a difference set is."""
+    Y = draw(records())
+    g = validate_manifold(Y).g
+    pairs = sorted(draw(st.sets(st.tuples(st.integers(0, 3), st.integers(0, g - 1)))))
+    return Y, DtauData(all=tuple(DtauElement(*e) for e in pairs),
+                       positive=tuple(DtauElement(*e) for e in pairs if e[0] > 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(records_with_pair_sets(), st.one_of(st.none(), st.integers(0, 12)))
+def test_gamma_closed_matches_search_over_elements(case, bound):
+    Y, pairs = case
+    assert gamma_closed(Y, bound) == gamma_closed_over_elements(Y, dtau(Y), bound)
+    with mock.patch("lspace.torsion.dtau", lambda _: pairs):
+        assert gamma_closed(Y, bound) == gamma_closed_over_elements(Y, pairs, bound)
 
 
 def _outcome(fn, *args):
     """fn(*args) from cold caches, or the class and message it raised."""
-    for cached in (validate_manifold, complement_bits, milnor_invariants, dtau,
-                   _hfk_support_from_iota):
+    for cached in (validate_manifold, milnor_invariants, dtau, _hfk_support_from_iota):
         cached.cache_clear()
     try:
         return fn(*args)
