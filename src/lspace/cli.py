@@ -26,8 +26,7 @@ from .gluing import (condition_systems, judicious_slope, splice_from_json,
                      splice_is_lspace)
 from .interval import (check_corollary_consistency, is_lspace_slope,
                        lspace_interval)
-from .seifert import (sfs_fiber_interval, sfs_from_json, sfs_is_lspace,
-                      sfs_normalize)
+from .seifert import sfs_fiber_interval, sfs_from_json, sfs_is_lspace
 from .torsion import (dtau, manifold_from_json, milnor_invariants,
                       validate_manifold)
 
@@ -102,8 +101,7 @@ def cmd_sfs(data, fiber=None):
     out = {"lspace": verdict.lspace, "reason": verdict.reason,
            "euler": _frac(verdict.euler)}
     if fiber is not None:
-        norm, _ = sfs_normalize(d)
-        iv = sfs_fiber_interval(norm, fiber)
+        iv = sfs_fiber_interval(d, fiber)
         out["fiber_thresholds"] = [_frac(iv.t_lower), _frac(iv.t_upper)]
     return out
 

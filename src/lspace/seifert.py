@@ -15,11 +15,15 @@ e = e0 + sum ri/si vanishes or min A - e0 < 0 < max B - e0.  An
 equivalent form brackets the Euler number by remainder sums; both are
 computed and must agree.  The difference set of the regular-fiber
 complement is carried along explicitly, which lets the surgery-label
-criterion re-derive every verdict by an independent route.
+criterion re-derive every verdict by an independent route.  All of
+these, and every fiber threshold, are integer sums of the terms
+floor(ri x / si): one table of them per space serves both forms, the
+thresholds and the difference-set route.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -47,7 +51,8 @@ class SeifertData:
         return len(self.fibers)
 
     def euler(self):
-        return self.e0 + sum(Fraction(r, s) for r, s in self.fibers)
+        s = lcm(*[sd for _, sd in self.fibers])
+        return Fraction(self.e0 * s + sum(r * (s // sd) for r, sd in self.fibers), s)
 
     def is_normalized(self):
         return all(s > 0 and 0 < r < s and gcd(r, s) == 1 for r, s in self.fibers)
@@ -95,35 +100,56 @@ class SfsVerdict(NamedTuple):
     max_side: Fraction       # max B(x) - e0
 
 
-def _minmax_sides(e0, fibers, s):
-    """min A(x) and max B(x) over 1 <= x < s, compared as integer
-    fractions by cross-multiplication."""
-    lo = hi = None
-    for x in range(1, s):
-        a = 1 - sum(-((-r * x) // sd) for r, sd in fibers)
-        b = -1 - sum((r * x) // sd for r, sd in fibers)
-        if lo is None or a * lo[1] < lo[0] * x:
-            lo = (a, x)
-        if hi is None or b * hi[1] > hi[0] * x:
-            hi = (b, x)
-    return Fraction(*lo), Fraction(*hi)
+@lru_cache(maxsize=8)
+def _side_sums(fibers):
+    """The floor table of normalized fibers over 0 <= x < s = lcm(si), in
+    lists that every reader shares and none changes: s, T = sum ri s/si,
+    each fiber's column floor(ri x / si), their total F(x), the count c(x)
+    of fibers with si not dividing x, and R(x) = sum [ri x]_si s/si = x T - s F(x)."""
+    s = lcm(*[sd for _, sd in fibers])
+    total = sum(r * (s // sd) for r, sd in fibers)
+    columns = [[r * x // sd for x in range(s)] for r, sd in fibers]
+    floors = list(map(sum, zip(*columns)))
+    misses = list(map(sum, zip(*[[x % sd > 0 for x in range(s)] for _, sd in fibers])))
+    rems = [x * total - s * f for x, f in enumerate(floors)]
+    return s, total, columns, floors, misses, rems
+
+
+def _extremes(lows, highs, scale=1):
+    """The least lows[x] / (scale x) and the greatest highs[x] / (scale x)
+    over 1 <= x < len(lows), compared by cross-multiplication."""
+    lo_a, lo_x, hi_b, hi_x = lows[1], 1, highs[1], 1
+    for x in range(2, len(lows)):
+        a, b = lows[x], highs[x]
+        if a * lo_x < lo_a * x:
+            lo_a, lo_x = a, x
+        if b * hi_x > hi_b * x:
+            hi_b, hi_x = b, x
+    return Fraction(lo_a, scale * lo_x), Fraction(hi_b, scale * hi_x)
+
+
+def _minmax_sides(fibers, j=None):
+    """min A(x) and max B(x) over 1 <= x < s, with A(x) = 1 - F(x) - c(x)
+    and B(x) = -1 - F(x) from the floor table.  With j, the sides of the
+    other fibers over x below their lcm, a divisor of s: the j-th column
+    and its bit come off the table."""
+    _, _, columns, floors, misses, _ = _side_sums(fibers)
+    if j is None:
+        return _extremes([1 - f - c for f, c in zip(floors, misses)], [-1 - f for f in floors])
+    sj, column = fibers[j][1], columns[j]
+    stop = lcm(*[sd for i, (_, sd) in enumerate(fibers) if i != j])
+    return _extremes([1 - f - c + k + (x % sj > 0)
+                      for x, f, c, k in zip(range(stop), floors, misses, column)],
+                     [-1 - f + k for f, k in zip(floors[:stop], column)])
 
 
 def _remainder_bracket(fibers, s):
     """The remainder-sum bracket (lo, hi) of the Euler number: lo is the
     least (1 - sum [-ri x]_si / si) / x and hi the greatest
-    (-1 + sum [ri x]_si / si) / x, over 1 <= x < s, each compared over the
-    common denominator s x."""
-    scales = [(r, sd, s // sd) for r, sd in fibers]
-    lo = hi = None
-    for x in range(1, s):
-        lo_num = s - sum(((-r * x) % sd) * k for r, sd, k in scales)
-        hi_num = -s + sum(((r * x) % sd) * k for r, sd, k in scales)
-        if lo is None or lo_num * lo[1] < lo[0] * x:
-            lo = (lo_num, x)
-        if hi is None or hi_num * hi[1] > hi[0] * x:
-            hi = (hi_num, x)
-    return Fraction(lo[0], s * lo[1]), Fraction(hi[0], s * hi[1])
+    (-1 + sum [ri x]_si / si) / x, over 1 <= x < s.  Over the common
+    denominator s x their numerators are s - s c(x) + R(x) and R(x) - s."""
+    *_, misses, rems = _side_sums(fibers)
+    return _extremes([s - s * c + r for c, r in zip(misses, rems)], [r - s for r in rems], s)
 
 
 def sfs_is_lspace(d):
@@ -143,20 +169,13 @@ def sfs_is_lspace(d):
                           orbifold_not_lspace=not lspace,
                           min_side=None, max_side=None)
     s = lcm(*[sd for _, sd in d.fibers])
-    min_a, max_b = _minmax_sides(d.e0, d.fibers, s)
-    min_side = min_a - d.e0
-    max_side = max_b - d.e0
+    min_side, max_side = (v - d.e0 for v in _minmax_sides(d.fibers))
     thm_not = (e == 0) or (min_side < 0 < max_side)
     # remainder-sum form bracketing the Euler number
     lo, hi = _remainder_bracket(d.fibers, s)
     orb_not = (e == 0) or (lo < e < hi)
     require(thm_not == orb_not, "criterion forms disagree on %r", d)
-    if e == 0:
-        reason = "euler-zero"
-    elif thm_not:
-        reason = "interval-criterion"
-    else:
-        reason = "criterion"
+    reason = "euler-zero" if e == 0 else "interval-criterion" if thm_not else "criterion"
     return SfsVerdict(lspace=not thm_not, reason=reason, euler=e,
                       theorem_not_lspace=thm_not, orbifold_not_lspace=orb_not,
                       min_side=min_side, max_side=max_side)
@@ -200,29 +219,24 @@ def sfs_dtau(d):
     coordinates a- = x, b- = -j - F(x), and the opposite lift
     a+ = a- - q* g = -(s - x), b+ = b- + p g.  Here g = gcd(sum ri s/si, s),
     p = (s/g) sum ri/si and q* = s/g, so p g = sum ri s/si.  No Fraction
-    is built: R and F are computed once per x, before the j loop.
+    is built: R and F are read from the space's floor table.
     """
     if not d.is_normalized():
         d, _ = sfs_normalize(d)
     if d.n == 0:
         return SfsDtau(entries=(), p=0, q_star=1, g=1, s=1)
-    s = lcm(*[sd for _, sd in d.fibers])
-    scales = [(r, sd, s // sd) for r, sd in d.fibers]
-    total = sum(r * k for r, _, k in scales)
+    s, total, _, floors, _, rems = _side_sums(d.fibers)
     g = gcd(total, s)
-    p = total // g
-    q_star = s // g
-    sums = [(x, sum(((r * x) % sd) * k for r, sd, k in scales),
-             sum((r * x) // sd for r, sd, _ in scales)) for x in range(1, s)]
+    p, q_star = total // g, s // g
     entries = []
     for j in range(1, d.n):
-        for x, rem_sum, floor_sum in sums:
-            delta, rest = divmod(rem_sum - j * s, g)
+        for x in range(1, s):
+            delta, rest = divmod(rems[x] - j * s, g)
             require(rest == 0, "difference (%d - %d)/%d is not an integer",
-                    rem_sum, j * s, g)
+                    rems[x], j * s, g)
             if delta < 0:
                 continue
-            b_minus = -j - floor_sum
+            b_minus = -j - floors[x]
             require(x * p + b_minus * q_star == delta and 0 < -b_minus < total,
                     "residue pair (%d, %d) does not lift %d", x, b_minus, delta)
             entries.append(SfsDtauEntry(j, x, delta, x, b_minus,
@@ -287,9 +301,4 @@ def sfs_fiber_interval(d, j):
         raise MalformedInput("fiber index %r is not in 0..%d" % (j, d.n - 1))
     if not d.is_normalized():
         d, _ = sfs_normalize(d)
-    others = tuple(f for i, f in enumerate(d.fibers) if i != j)
-    s = lcm(*[sd for _, sd in others])
-    if s == 1:
-        raise IntegerFiberSlope("remaining fibers must be noninteger")
-    min_a, max_b = _minmax_sides(d.e0, others, s)
-    return FiberInterval(t_lower=min_a - d.e0, t_upper=max_b - d.e0)
+    return FiberInterval(*(v - d.e0 for v in _minmax_sides(d.fibers, j)))

@@ -1,15 +1,16 @@
+import random
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lspace.errors import IntegerFiberSlope, MalformedInput, TooFewFibers
-from lspace.seifert import (SeifertData, sfs_dtau, sfs_fiber_interval,
-                            sfs_flip, sfs_is_lspace, sfs_is_lspace_via_dtau,
-                            sfs_normalize)
+from lspace.seifert import (SeifertData, _side_sums, sfs_dtau,
+                            sfs_fiber_interval, sfs_flip, sfs_is_lspace,
+                            sfs_is_lspace_via_dtau, sfs_normalize)
 
 
 def M(e0, *fibers):
@@ -236,3 +237,80 @@ def test_dtau_route_matches_fraction_reference(d):
     verdict = sfs_is_lspace_via_dtau(d)
     assert verdict == via_dtau_reference(d)
     assert verdict == sfs_is_lspace(d).lspace
+
+
+def sides_reference(e0, fibers):
+    """min A(x) - e0 and max B(x) - e0 over 1 <= x < lcm(si), with A and B
+    as the module docstring writes them, in Fractions."""
+    s = lcm(*[sd for _, sd in fibers])
+    a = [-Fraction(1, x) * (-1 + sum(ceil(Fraction(r * x, sd)) for r, sd in fibers))
+         for x in range(1, s)]
+    b = [-Fraction(1, x) * (1 + sum(floor(Fraction(r * x, sd)) for r, sd in fibers))
+         for x in range(1, s)]
+    return min(a) - e0, max(b) - e0
+
+
+def bracket_reference(fibers):
+    """The remainder bracket as test_orbifold_bracketing_values spells it."""
+    s = lcm(*[sd for _, sd in fibers])
+    lo = min(Fraction(1, x) * (1 - sum(Fraction((-r * x) % sd, sd) for r, sd in fibers))
+             for x in range(1, s))
+    hi = max(Fraction(1, x) * (-1 + sum(Fraction((r * x) % sd, sd) for r, sd in fibers))
+             for x in range(1, s))
+    return lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(unnormalized_sfs())
+def test_classifier_matches_fraction_reference(d):
+    euler = d.e0 + sum(Fraction(r, s) for r, s in d.fibers)
+    assert d.euler() == euler
+    norm, _ = sfs_normalize(d)
+    min_side, max_side = sides_reference(norm.e0, norm.fibers)
+    lo, hi = bracket_reference(norm.fibers)
+    v = sfs_is_lspace(d)
+    assert (v.euler, v.min_side, v.max_side) == (euler, min_side, max_side)
+    assert v.theorem_not_lspace == (euler == 0 or min_side < 0 < max_side)
+    assert v.orbifold_not_lspace == (euler == 0 or lo < euler < hi)
+    assert v.lspace == (not v.theorem_not_lspace)
+    if d.n < 2:
+        return
+    for j in range(d.n):
+        others = norm.fibers[:j] + norm.fibers[j + 1:]
+        assert tuple(sfs_fiber_interval(d, j)) == sides_reference(norm.e0, others)
+
+
+def route_answer(d, k):
+    """Route k of a space: the classifier, the difference set, the
+    via-dtau verdict, then the threshold pair of fiber k - 3."""
+    routes = (sfs_is_lspace, sfs_dtau, sfs_is_lspace_via_dtau)
+    return routes[k](d) if k < 3 else sfs_fiber_interval(d, k - 3)
+
+
+def test_floor_table_cold_and_warm_agree():
+    assert _side_sums.cache_info().maxsize is not None
+    # the same fibers under three e0, and an unnormalized spelling of
+    # M(1; 1/2, 1/3, 1/7) whose normal form hits the first table
+    spaces = [M(-1, (1, 2), (1, 3), (1, 7)), M(0, (1, 2), (1, 3), (1, 7)),
+              M(-2, (1, 2), (1, 3), (1, 7)), M(0, (3, 2), (-2, 3), (8, 7)),
+              M(-1, (2, 3), (3, 4), (1, 5)), M(1, (1, 2), (2, 5))]
+    # more fiber sets than the table keeps, so that entries are evicted
+    spaces += [M(-1, (1, 2), (1, 3), (r, 11)) for r in range(1, 11)]
+    calls = [(i, k) for i, d in enumerate(spaces) for k in range(3 + d.n)]
+    cold = {}
+    for i, k in calls:
+        _side_sums.cache_clear()
+        cold[i, k] = route_answer(spaces[i], k)
+    rng = random.Random(5)
+    for _ in range(4):
+        _side_sums.cache_clear()
+        rng.shuffle(calls)
+        for i, k in calls:
+            assert route_answer(spaces[i], k) == cold[i, k], (spaces[i], k)
+    _side_sums.cache_clear()
+    sfs_is_lspace(spaces[0])
+    before = _side_sums.cache_info()
+    for k in range(6):
+        assert route_answer(spaces[3], k) == cold[3, k]
+    after = _side_sums.cache_info()
+    assert after.currsize == before.currsize and after.hits > before.hits
