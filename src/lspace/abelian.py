@@ -274,11 +274,13 @@ def bitmask(bits):
     return int(digits[::-1], 2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _rotation_masks(orders, factor, amount, levels):
     """The classes, over free levels 0..levels-1, whose residue in the
     given cyclic factor stays below its order after adding amount, and
-    the rest: one-level masks times the repunit of the levels."""
+    the rest: one-level masks times the repunit of the levels.  Callers
+    round levels up to a power of two, so one entry serves every mask
+    up to that height."""
     enc = ClassEncoding(orders)
     n, w = orders[factor], enc.weights[factor]
     low = sum(1 << i for i in range(enc.size) if i // w % n < n - amount)
@@ -329,12 +331,13 @@ class ClassEncoding:
         of negative free part.  mask must lie in free levels
         0..levels-1; each cyclic factor rotates by two masked shifts."""
         size = self.size
+        height = 1 << (levels - 1).bit_length()  # levels rounded up to a power of 2
         if h.free < 0:
             mask >>= -h.free * size
         for factor, (n, w, t) in enumerate(zip(self.orders, self.weights, h.torsion)):
             t %= n
             if t:
-                low, high = _rotation_masks(self.orders, factor, t, levels)
+                low, high = _rotation_masks(self.orders, factor, t, height)
                 mask = (mask & low) << t * w | (mask & high) >> (n - t) * w
         return mask << h.free * size if h.free > 0 else mask
 

@@ -416,14 +416,49 @@ def _sumset(enc, mask, shifts, what, window=-1):
     return out
 
 
+def _multiples(enc, group, mask, gen, count, what, window=-1):
+    """_sumset(enc, mask, [k gen for k in range(count)], what, window) by
+    doubling: blocks of 1, 2, 4, ... multiples, each the union of the one
+    before and its translate by size gen, are combined in binary, so
+    about 2 log2(count) translates are taken.  gen has free part >= 0 and
+    window is -1 or the classes below some free level.
+
+    Every union refuses overlapping sides.  A class of the window reached
+    by two multiples k < k' is then refused: either both lie in one half
+    of a block or a combined range, and shifting down by that half's
+    start (which keeps the class in the window) gives an earlier clash,
+    or the class lies on both sides of the union that splits them."""
+    require(gen.free >= 0, "multiples of %r fall below free part 0", gen)
+    block, size, out, start = mask & window, 1, 0, 0
+    while count:
+        if count & 1:
+            out = _union(out, _shift(enc, group, block, start, gen) & window, what)
+            start += size
+        count >>= 1
+        if count:
+            block = _union(block, _shift(enc, group, block, size, gen) & window, what)
+            size *= 2
+    return out
+
+
+def _shift(enc, group, mask, k, gen):
+    if not k:
+        return mask
+    return enc.translate(mask, group.scale(k, gen), (mask.bit_length() - 1) // enc.size + 1)
+
+
+def _union(a, b, what):
+    require(not a & b, "%s is not multiplicity-free", what)
+    return a | b
+
+
 def _meridian_box(enc, group, f, side, levels):
     """The bitmask of the images under f of the classes of free part
     0..levels-1 of side: its torsion layer translated by the multiples of
     the image of its free generator."""
     layer = _sumset(enc, 1, [f(t) for t in side.torsion_elements()], "torsion layer")
     gen = f(GroupElement(1, side.zero().torsion))
-    return _sumset(enc, layer, [group.scale(k, gen) for k in range(levels)],
-                   "meridian box")
+    return _multiples(enc, group, layer, gen, levels, "meridian box")
 
 
 def _principal_gap_piece(enc, group, box1, f2, G2):
@@ -434,15 +469,19 @@ def _principal_gap_piece(enc, group, box1, f2, G2):
     Every class is x + f2(y) for exactly one x in box1 and one y, so a
     missed class has free(y) < 0 and lies below the top of box1.  The
     product is taken up to one slab of width phi2 = free(f2(1)) above that
-    top, and the slab must be covered.
+    top, and the slab must be covered: box1 plus the torsion layer of G2,
+    then that sum's multiples of f2(1).
     """
-    phi2 = f2(GroupElement(1, G2.zero().torsion)).free
+    gen2 = f2(GroupElement(1, G2.zero().torsion))
+    phi2 = gen2.free
     require(phi2 > 0, "the second free generator has image %d <= 0", phi2)
     top = (box1.bit_length() - 1) // enc.size
     bound = top + phi2
     window = (1 << (bound + 1) * enc.size) - 1
-    series2 = _meridian_box(enc, group, f2, G2, bound // phi2 + 1)
-    covered = _sumset(enc, box1, enc.classes(series2), "principal product", window)
+    layer = _sumset(enc, box1, [f2(t) for t in G2.torsion_elements()],
+                    "principal product", window)
+    covered = _multiples(enc, group, layer, gen2, bound // phi2 + 1,
+                         "principal product", window)
     missing = window & ~covered
     require(missing >> (top + 1) * enc.size == 0,
             "the principal product misses a class above the first box")

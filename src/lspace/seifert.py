@@ -228,17 +228,24 @@ def sfs_dtau(d):
     s, total, _, floors, _, rems = _side_sums(d.fibers)
     g = gcd(total, s)
     p, q_star = total // g, s // g
+    # g divides s, so delta(j, x) = R(x)/g - j q* is an integer for every
+    # j exactly when g divides R(x), and the lift x p + b- q* = delta
+    # reads x p - F(x) q* = R(x)/g for every j
+    lifts = []
+    for x in range(1, s):
+        r, rest = divmod(rems[x], g)
+        require(rest == 0 and x * p - floors[x] * q_star == r,
+                "residue %d does not lift the remainder sum %d over %d", x, rems[x], g)
+        lifts.append((x, r, floors[x]))
     entries = []
     for j in range(1, d.n):
-        for x in range(1, s):
-            delta, rest = divmod(rems[x] - j * s, g)
-            require(rest == 0, "difference (%d - %d)/%d is not an integer",
-                    rems[x], j * s, g)
+        for x, r, f in lifts:
+            delta = r - j * q_star
             if delta < 0:
                 continue
-            b_minus = -j - floors[x]
-            require(x * p + b_minus * q_star == delta and 0 < -b_minus < total,
-                    "residue pair (%d, %d) does not lift %d", x, b_minus, delta)
+            b_minus = -j - f
+            require(0 < -b_minus < total, "residue pair (%d, %d) does not lift %d",
+                    x, b_minus, delta)
             entries.append(SfsDtauEntry(j, x, delta, x, b_minus,
                                         x - s, b_minus + total))
     return SfsDtau(entries=tuple(entries), p=p, q_star=q_star, g=g, s=s)

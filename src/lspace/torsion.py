@@ -229,9 +229,11 @@ def dtau(Y):
     belongs exactly when translate(S, -d) & ~S is nonzero.  A torsion
     translate permutes each free level, so that is the row
     translate(S, -delta*iota(m)) meeting the translate of the window's
-    complement by gamma*iota(l): the g complements are built once, and the
-    row is walked by one -iota(m) step per delta, exactly, because
-    translates compose when free parts only fall.
+    complement by gamma*iota(l): the g complements are built once.  The
+    row is S rotated by minus delta times the torsion part of iota(m) and
+    shifted down by delta*g levels; the rotations repeat with the order
+    of that torsion part, so only the first min(order, rows) are built,
+    one translate each, and each row is one shift of one of them.
     """
     rep = validate_manifold(Y)
     G, S = Y.group, Y.tauc_bits
@@ -239,16 +241,20 @@ def dtau(Y):
     degree = tauc_degree(Y)
     levels = degree + 1
     window = (1 << levels * enc.size) - 1
-    neg_m = G.neg(Y.iota_m)
     outside = [enc.translate(window & ~S, G.scale(gamma, Y.iota_l), levels)
                for gamma in range(rep.g)]
+    rows = degree // rep.g + 1
+    cycle = G.torsion_order_of(Y.iota_m)
+    step = G.neg(Y.iota_m)._replace(free=0)
+    rotations = [S]  # translate(S, -delta*iota(m)) before the shift
     found = []
-    row = S  # translate(S, -delta*iota(m))
-    for delta in range(degree // rep.g + 1):
+    for delta in range(rows):
+        if 0 < delta < cycle:
+            rotations.append(enc.translate(rotations[-1], step, levels))
+        row = rotations[delta % cycle] >> delta * rep.g * enc.size
         for gamma in range(rep.g):
             if row & outside[gamma]:
                 found.append(DtauElement(delta, gamma))
-        row = enc.translate(row, neg_m, levels)
     positive = tuple(e for e in found if e.delta > 0)
     return DtauData(all=tuple(found), positive=positive)
 

@@ -8,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lspace.abelian import (ClassEncoding, FinAbGroup, GluingMatrix,
-                            GroupElement, Slope, bitmask, canonical_longitude,
-                            pairing_and_label, primitive_slope_qs,
+                            GroupElement, Slope, _rotation_masks, bitmask,
+                            canonical_longitude, pairing_and_label,
+                            primitive_slope_qs,
                             smith_normal_form, snf_invariant_factors,
                             window_slope_qs)
 from lspace.errors import DeterminantError
@@ -236,6 +237,23 @@ def test_translate_matches_group_addition(case):
     moved = enc.translate(mask, h, levels)
     assert enc.classes(moved) == sorted(
         y for y in (G.add(x, h) for x in members) if y.free >= 0)
+
+
+def test_rotation_masks_stay_bounded():
+    # levels 1..2999 round up to the 13 powers of two 1..4096: one entry
+    # for each of them and each of the two factors that h rotates, and
+    # never more than the cache's finite maxsize
+    _rotation_masks.cache_clear()
+    G = FinAbGroup((2, 4))
+    enc = ClassEncoding(G.torsion_orders)
+    h = G.element(0, (1, 3))
+    for levels in range(1, 3000):
+        members = [G.element(levels - 1, (0, 0)), G.element(0, (1, 3))]
+        assert enc.translate(bitmask(enc.encode(x) for x in members), h, levels) == bitmask(
+            enc.encode(G.add(x, h)) for x in members)
+    info = _rotation_masks.cache_info()
+    assert info.currsize == 2 * 13
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_primitive_slope_qs_order():

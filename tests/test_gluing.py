@@ -11,11 +11,12 @@ from lspace.abelian import (ClassEncoding, FinAbGroup, GluingMatrix,
                             quotient_by_relation)
 from lspace.corpus import (n_g, random_records, solid_torus, standard_corpus,
                            t25, trefoil)
-from lspace.errors import HypothesisNotMet, InvariantViolation
-from lspace.gluing import (SpliceProblem, _principal_gap_piece, b_sets,
-                           condition_systems, judicious_slope,
-                           splice_equivalence, splice_is_lspace,
-                           spliced_manifold)
+from lspace.errors import (HypothesisNotMet, InvariantViolation,
+                           SearchExhausted)
+from lspace.gluing import (SpliceProblem, _multiples, _principal_gap_piece,
+                           _sumset, b_sets, condition_systems,
+                           judicious_slope, splice_equivalence,
+                           splice_is_lspace, spliced_manifold)
 from lspace.interval import is_lspace_slope
 from lspace.torsion import dtau, retwist, validate_manifold
 
@@ -144,6 +145,44 @@ def test_gap_piece_is_complement_of_truncated_sumset(inputs):
     enc = ClassEncoding(group.torsion_orders)
     box = bitmask(enc.encode(h) for h in box1)
     assert enc.classes(_principal_gap_piece(enc, group, box, f2, G2)) == expected
+
+
+@st.composite
+def multiples_inputs(draw):
+    """A mask over free levels 0..3 of a group with torsion, a generator
+    of free part 0..3, a count and a window: everything, or the classes
+    below some free level."""
+    group = FinAbGroup(draw(st.sampled_from(PIECE_ORDERS[1:])))
+    enc = group.encoding
+    classes = [GroupElement(f, t.torsion) for f in range(4)
+               for t in group.torsion_elements()]
+    mask = bitmask(enc.encode(h) for h in draw(st.sets(st.sampled_from(classes),
+                                                       max_size=6)))
+    gen = group.element(draw(st.integers(0, 3)),
+                        draw(st.sampled_from(group.torsion_elements())).torsion)
+    levels = draw(st.one_of(st.none(), st.integers(0, 12)))
+    window = -1 if levels is None else (1 << levels * enc.size) - 1
+    return group, mask, gen, draw(st.integers(0, 20)), window
+
+
+def _mask_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except InvariantViolation as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multiples_inputs())
+def test_multiples_match_one_translate_per_multiple(case):
+    # same mask, and refused (with the same text) exactly when some class
+    # of the window is reached twice
+    group, mask, gen, count, window = case
+    enc = group.encoding
+    reference = _mask_or_error(_sumset, enc, mask,
+                               [group.scale(k, gen) for k in range(count)], "sum", window)
+    assert _mask_or_error(_multiples, enc, group, mask, gen, count, "sum",
+                          window) == reference
 
 
 def test_invariant_checked_as_named_error(monkeypatch):
@@ -324,3 +363,24 @@ def test_gluing_to_the_solid_torus_is_dehn_filling():
         filling = is_lspace_slope(Y, Y.witness, phi.inverse().apply_slope(Slope(0, 1)))
         assert splice_is_lspace(prob).lspace == filling, (Y, phi)
         assert set(splice_equivalence(prob).values()) == {filling}, (Y, phi)
+
+
+# the gluings of the worked example's spliced record to the solid torus
+# that have no judicious slope with p1 <= JUDICIOUS_MAX_P (defect B)
+Y12_UNSEARCHED = [[[-1, 2], [0, 1]], [[-1, 2], [1, -1]], [[1, -2], [-1, 1]],
+                  [[1, -2], [0, -1]]]
+
+
+def test_spliced_record_glued_to_the_solid_torus_is_dehn_filling():
+    # a spliced record is a piece like any other: Y12, the worked example's
+    # splice of the trefoil with itself, filled along phi^-1(l2)
+    Y12 = spliced_manifold(judicious_slope(prob_trefoils([[3, -5], [1, -2]]))).record
+    for phi in SMALL_GLUINGS:
+        prob = SpliceProblem(Y12, solid_torus(), phi)
+        filling = is_lspace_slope(Y12, Y12.witness, phi.inverse().apply_slope(Slope(0, 1)))
+        assert splice_is_lspace(prob).lspace == filling, phi
+        if phi.rows() in Y12_UNSEARCHED:
+            with pytest.raises(SearchExhausted):
+                splice_equivalence(prob)
+        else:
+            assert set(splice_equivalence(prob).values()) == {filling}, phi

@@ -2,7 +2,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lspace.abelian import FinAbGroup, GroupElement, Slope
@@ -219,8 +219,21 @@ def records(draw):
                                tauc_support=frozenset(support))
 
 
+def _record(orders, iota_m, iota_l, support):
+    G = FinAbGroup(orders)
+    return FloerSimpleManifold(group=G, iota_m=G.element(*iota_m), iota_l=G.element(*iota_l),
+                               tauc_support=frozenset(G.element(*h) for h in support))
+
+
 @settings(max_examples=60, deadline=None)
 @given(records())
+# the torsion part of iota(m) has order 16, above the 4 delta rows
+@example(_record((4, 16), (1, (1, 1)), (0, (0, 0)),
+                 [(0, (1, 3)), (1, (0, 1)), (2, (2, 5)), (3, (3, 0)), (3, (1, 9))]))
+# order 2 and order 4, below the 4 delta rows and equal to them
+@example(_record((2,), (1, (1,)), (0, (0,)), [(0, (1,)), (2, (1,))]))
+@example(_record((2, 4), (1, (1, 1)), (0, (0, 0)),
+                 [(1, (0, 0)), (1, (1, 2)), (2, (0, 1)), (3, (1, 0))]))
 def test_dtau_matches_brute_force_differences(Y):
     # d = delta iota(m) + gamma iota(l) is in D^tau when some x in S has
     # x - d of nonnegative free part outside S
