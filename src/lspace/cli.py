@@ -65,8 +65,6 @@ def _frac(x):
 def _interval_doc(result):
     if result.kind == "all-but-longitude":
         return {"kind": "all-but-longitude"}
-    if result.kind == "complement-of-point":
-        return {"kind": "complement-of-point", "point": str(result.lo)}
     return {"kind": "closed", "lo": str(result.lo), "hi": str(result.hi)}
 
 

@@ -29,7 +29,7 @@ from .abelian import (FinAbGroup, GluingMatrix, GroupElement, Slope,
                       window_slope_qs)
 from .errors import (HypothesisNotMet, NotRationalHomologySphere,
                      SearchExhausted, reads_input, require)
-from .interval import lspace_interval, validate_witness
+from .interval import is_lspace_slope, lspace_interval
 from .projline import meet_ranges
 from .torsion import (FloerSimpleManifold, conj_record, dtau, reversed_encoding,
                       tauc_degree, validate_manifold)
@@ -491,13 +491,11 @@ def _principal_gap_piece(enc, group, box1, f2, G2):
 def splice_equivalence(prob):
     """Run all four decision routes on one problem and return their
     verdicts as a dict (cover may raise HypothesisNotMet)."""
-    from .interval import is_lspace_slope
     cover = splice_is_lspace(prob)
     js = judicious_slope(prob)
     l_rep, i_rep = condition_systems(js)
     built = spliced_manifold(js)
     record, lam = built.record, built.lam_slope
-    validate_witness(record, record.witness)
     spliced = is_lspace_slope(record, record.witness, lam)
     return {
         "cover": cover.lspace,

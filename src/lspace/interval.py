@@ -26,7 +26,7 @@ from .torsion import dtau, hfk_support, milnor_invariants, validate_manifold
 
 @dataclass(frozen=True)
 class LSpaceIntervalResult:
-    kind: str                  # "all-but-longitude" | "closed" | "complement-of-point"
+    kind: str                  # "all-but-longitude" | "closed"
     interval: ProjInterval     # the set of L-space filling slopes
     lo: Slope = None           # closed-interval endpoints (lifts of the
     hi: Slope = None           # difference set), when applicable
@@ -42,23 +42,25 @@ def _witness_or_default(Y, mu_L):
     return mu_L
 
 
-def residue_pair(g, mu_L, d):
-    """(b_minus, b_plus) for one difference-set element at this witness,
-    for a record whose longitude image has order g."""
-    p, q = mu_L.a, mu_L.b
-    pg = p * g
-    b_plus = (p * d.gamma - q * d.delta) % pg
-    return b_plus - pg, b_plus
-
-
 @lru_cache(maxsize=None)
 def validate_witness(Y, mu_L=None):
-    """Check what the record can check of mu_L as an interior witness.
+    """Check what the record can check of mu_L as an interior witness,
+    and assemble the L-space interval from it in the same pass.
 
-    Requires mu_L . l != 0 and a nonzero residue for every positive
-    difference-set element; when the free part of iota(mu_L) exceeds the
-    Thurston norm, also checks knot-Floer coherence at mu_L (this is the
-    regime where a genuine interior witness must be coherent).
+    Requires mu_L . l != 0 and a nonzero residue b_plus for every
+    positive difference-set element; when the free part of iota(mu_L)
+    exceeds the Thurston norm, also checks knot-Floer coherence at mu_L
+    (this is the regime where a genuine interior witness must be
+    coherent).
+
+    With empty positive difference set, every slope but the longitude is
+    an L-space slope.  Otherwise the surgery labels are pinched between
+    max(b_minus/delta) and min(b_plus/delta), and the achieving elements
+    lift to the closed interval's endpoints.  The label p b/a - q of a
+    filling a m + b l with a > 0 increases with b/a, and the bounds have
+    b_minus/delta < 0 < b_plus/delta since no residue vanishes; so the
+    two lifts are distinct slopes, the labels between the bounds are the
+    arc between them through mu_L, and that arc misses the longitude.
 
     That mu_L lies in the interior of the L-space interval is the
     caller's precondition, as in the paper: the record cannot always
@@ -67,39 +69,52 @@ def validate_witness(Y, mu_L=None):
     [1, oo], and verdicts computed from it are wrong.
     """
     mu_L = _witness_or_default(Y, mu_L)
-    rep = validate_manifold(Y)
+    g = validate_manifold(Y).g
     if mu_L.dot_l == 0:
         raise WitnessOnLongitude("the longitude is never an interior L-space slope")
+    p, q = mu_L.a, mu_L.b
+    pg = p * g
+    # the running bounds b/d.delta are kept as (b, d) and compared by
+    # cross-multiplication (every delta is positive)
+    lo = hi = None
     for d in dtau(Y).positive:
-        b_minus, b_plus = residue_pair(rep.g, mu_L, d)
+        b_plus = (p * d.gamma - q * d.delta) % pg
         if b_plus == 0:
             raise WitnessOnIntervalBoundary(
                 "residue vanishes at delta=%d, gamma=%d; supply a strictly "
                 "interior slope" % (d.delta, d.gamma))
-    norm = milnor_invariants(Y).norm
-    if mu_L.a * rep.g > norm:
+        b_minus = b_plus - pg
+        if lo is None or b_minus * lo[1].delta > lo[0] * d.delta:
+            lo = (b_minus, d)
+        if hi is None or b_plus * hi[1].delta < hi[0] * d.delta:
+            hi = (b_plus, d)
+    if p * g > milnor_invariants(Y).norm:
         hfk_support(Y, mu_L)  # raises NotFloerSimpleSlope on incoherence
-    return mu_L
+    if lo is None:
+        return LSpaceIntervalResult(
+            kind="all-but-longitude",
+            interval=ProjInterval.complement_of_point(LONGITUDE))
+    (lo_b, ach_lo), (hi_b, ach_hi) = lo, hi
+    interval = ProjInterval.arc_through(endpoint_lifts(g, mu_L, ach_lo)[0],
+                                        endpoint_lifts(g, mu_L, ach_hi)[1],
+                                        via=mu_L)
+    return LSpaceIntervalResult(
+        kind="closed", interval=interval,
+        lo=interval.lo, hi=interval.hi,
+        label_bounds=(Fraction(lo_b, ach_lo.delta), Fraction(hi_b, ach_hi.delta)),
+        achieving=(ach_lo, ach_hi))
+
+
+def lspace_interval(Y, mu_L=None):
+    """The set of L-space filling slopes, as an interval with endpoints in
+    the lifted difference set: the result validate_witness assembled for
+    this witness (by default the record's own)."""
+    return validate_witness(Y, _witness_or_default(Y, mu_L))
 
 
 def is_lspace_slope(Y, mu_L, mu):
     """Is the filling along mu an L-space?  Decided from the witness mu_L."""
-    mu_L = validate_witness(Y, mu_L)
-    positive = dtau(Y).positive
-    n = mu.dot_l
-    if not positive:
-        return n != 0
-    if n == 0:
-        return False
-    # the label beta/n lies in [b_minus/delta, b_plus/delta]; n > 0 and
-    # delta > 0, so the test cross-multiplies
-    beta = mu_L.pairing(mu)
-    g = validate_manifold(Y).g
-    for d in positive:
-        b_minus, b_plus = residue_pair(g, mu_L, d)
-        if not b_minus * n <= beta * d.delta <= b_plus * n:
-            return False
-    return True
+    return lspace_interval(Y, mu_L).interval.contains(mu)
 
 
 def endpoint_lifts(g, mu_L, d):
@@ -114,49 +129,6 @@ def endpoint_lifts(g, mu_L, d):
     return lo, hi
 
 
-def lspace_interval(Y, mu_L=None):
-    """The set of L-space filling slopes, as an interval with endpoints in
-    the lifted difference set.
-
-    With empty positive difference set, every slope but the longitude is
-    an L-space slope.  Otherwise the surgery labels are pinched between
-    max(b_minus/delta) and min(b_plus/delta); the achieving elements lift
-    to the closed interval's endpoints.  Should the two endpoint slopes
-    coincide, the interval degenerates to the complement of that point.
-    """
-    mu_L = validate_witness(Y, mu_L)
-    positive = dtau(Y).positive
-    if not positive:
-        return LSpaceIntervalResult(
-            kind="all-but-longitude",
-            interval=ProjInterval.complement_of_point(LONGITUDE))
-    g = validate_manifold(Y).g
-    # the running bounds b/d.delta are kept as (b, d) and compared by
-    # cross-multiplication (every delta is positive)
-    lo = hi = None
-    for d in positive:
-        b_minus, b_plus = residue_pair(g, mu_L, d)
-        if lo is None or b_minus * lo[1].delta > lo[0] * d.delta:
-            lo = (b_minus, d)
-        if hi is None or b_plus * hi[1].delta < hi[0] * d.delta:
-            hi = (b_plus, d)
-    (lo_b, ach_lo), (hi_b, ach_hi) = lo, hi
-    best_lo, best_hi = Fraction(lo_b, ach_lo.delta), Fraction(hi_b, ach_hi.delta)
-    slope_lo = endpoint_lifts(g, mu_L, ach_lo)[0]
-    slope_hi = endpoint_lifts(g, mu_L, ach_hi)[1]
-    if slope_lo == slope_hi:
-        return LSpaceIntervalResult(
-            kind="complement-of-point",
-            interval=ProjInterval.complement_of_point(slope_lo),
-            lo=slope_lo, hi=slope_hi,
-            label_bounds=(best_lo, best_hi), achieving=(ach_lo, ach_hi))
-    interval = ProjInterval.arc_through(slope_lo, slope_hi, via=mu_L)
-    return LSpaceIntervalResult(
-        kind="closed", interval=interval,
-        lo=interval.lo, hi=interval.hi,
-        label_bounds=(best_lo, best_hi), achieving=(ach_lo, ach_hi))
-
-
 def nls_detected(Y, mu_L=None):
     """Closure of the complement of the L-space interval: the slopes whose
     fillings are detected as non-L-spaces."""
@@ -167,19 +139,21 @@ def nls_detected(Y, mu_L=None):
 def check_corollary_consistency(Y, mu_L, mu):
     """Evaluate the interval criterion along three routes and compare.
 
-    Route one is the surgery-label inequality.  Route two rewrites mu as
+    Route one is membership in the interval that validate_witness
+    assembled from the surgery-label bounds; the other two test every
+    positive difference-set element on its own.  Route two rewrites mu as
     alpha*mu_L + beta*lambda_L for the canonical longitude and tests
     alpha/beta against the lifted endpoints' coordinates (the side of the
     inequality is picked by the sign of the label).  Route three tests the
     filling coordinates n/n' against the per-element closed intervals that
     exclude the longitude.  Returns True iff all three verdicts agree.
     """
-    mu_L = validate_witness(Y, mu_L)
-    rep = validate_manifold(Y)
-    positive = dtau(Y).positive
+    mu_L = _witness_or_default(Y, mu_L)
     verdict_thm = is_lspace_slope(Y, mu_L, mu)
+    positive = dtau(Y).positive
 
-    p, g = mu_L.a, rep.g
+    p, q, g = mu_L.a, mu_L.b, validate_manifold(Y).g
+    pg = p * g
     beta, n = mu_L.pairing(mu), mu.dot_l
     lam, q_star, p_star = canonical_longitude(mu_L)
 
@@ -193,7 +167,8 @@ def check_corollary_consistency(Y, mu_L, mu):
         require(rem == 0, "the reference slope does not divide n - beta q*")
         verdict_surgery = True
         for d in positive:
-            b_minus, b_plus = residue_pair(g, mu_L, d)
+            b_plus = (p * d.gamma - q * d.delta) % pg
+            b_minus = b_plus - pg
             a_plus, rem = divmod(d.delta - b_plus * q_star, p)
             require(rem == 0, "the reference slope does not divide delta - b+ q*")
             a_minus = a_plus + q_star * g
@@ -217,8 +192,7 @@ def check_corollary_consistency(Y, mu_L, mu):
         verdict_filling = True
         for d in positive:
             lo, hi = endpoint_lifts(g, mu_L, d)
-            window = ProjInterval.arc_through(lo, hi, via=mu_L) if lo != hi else None
-            if window is None or not window.contains(mu):
+            if not ProjInterval.arc_through(lo, hi, via=mu_L).contains(mu):
                 verdict_filling = False
                 break
 

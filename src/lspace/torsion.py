@@ -175,7 +175,8 @@ def milnor_invariants(Y):
     rep = validate_manifold(Y)
     size = rep.torsion_size
     # tau_bar coefficient at i is size minus the complement classes at
-    # level i, counted in one pass over the mask's digits
+    # level i, counted in one pass over the mask's digits; the last
+    # coefficient is the count of the top level, so it is never 0
     digits = bin(Y.tauc_bits)[:1:-1]
     delta_bar = []
     prev = 0
@@ -183,8 +184,6 @@ def milnor_invariants(Y):
         cur = size - digits.count("1", i * size, (i + 1) * size)
         delta_bar.append(cur - prev)
         prev = cur
-    while len(delta_bar) > 1 and delta_bar[-1] == 0:
-        delta_bar.pop()
     deg = len(delta_bar) - 1
     class_sums = [0] * rep.g
     for i, c in enumerate(delta_bar):

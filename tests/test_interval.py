@@ -6,12 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lspace.abelian import (LONGITUDE, Slope, canonical_longitude,
-                            pairing_and_label)
+from lspace.abelian import (LONGITUDE, GluingMatrix, Slope,
+                            canonical_longitude, pairing_and_label)
 from lspace.corpus import (_numerical_semigroup_gaps, gap_record, n_g,
                            negative_trefoil, random_records, solid_torus, t25,
                            trefoil)
 from lspace.errors import WitnessOnIntervalBoundary, WitnessOnLongitude
+from lspace.gluing import SpliceProblem, judicious_slope, spliced_manifold
 from lspace.interval import (_ratio_le, check_corollary_consistency,
                              endpoint_lifts, is_lspace_slope, lspace_interval,
                              nls_detected, validate_witness)
@@ -80,14 +81,35 @@ def test_interval_trivial_cases():
 
 
 def test_membership_coherence_exhaustive():
-    """is_lspace_slope agrees with interval membership for |a|,|b| <= 50."""
+    """Membership in the assembled interval agrees with the per-element
+    Fraction label test for |a|,|b| <= 50."""
+    y12 = spliced_manifold(judicious_slope(SpliceProblem(
+        trefoil(), trefoil(), GluingMatrix.from_rows([[3, -5], [1, -2]])))).record
+    torsion_record = next(Y for Y in random_records(seed=0)
+                          if validate_manifold(Y).torsion_size > 1)
     cases = [(trefoil(), Slope(3, 1)), (t25(), Slope(4, 1)),
              (n_g(2), Slope(1, 0)), (solid_torus(), Slope(1, 0)),
-             (trefoil(), Slope(7, 2)), (t25(), Slope(7, 2))]
+             (trefoil(), Slope(7, 2)), (t25(), Slope(7, 2)),
+             (y12, y12.witness), (torsion_record, torsion_record.witness)]
     for Y, w in cases:
-        r = lspace_interval(Y, w)
         for s in all_slopes(50):
-            assert is_lspace_slope(Y, w, s) == r.interval.contains(s), (Y, w, s)
+            assert is_lspace_slope(Y, w, s) == fraction_is_lspace(Y, w, s), (Y, w, s)
+
+
+def test_boundary_witness_with_torsion_is_refused_every_time():
+    # g = 2, and the witness 1/-1 has a vanishing residue at an element
+    # with gamma = 1; no route may answer from it, on the first call or
+    # after (a raised error is not cached)
+    Y = random_records(seed=0)[0]
+    assert validate_manifold(Y).g == 2
+    w = Slope(1, -1)
+    for _ in range(2):
+        for call in (lambda: validate_witness(Y, w),
+                     lambda: lspace_interval(Y, w),
+                     lambda: is_lspace_slope(Y, w, Slope(1, 0)),
+                     lambda: check_corollary_consistency(Y, w, Slope(1, 0))):
+            with pytest.raises(WitnessOnIntervalBoundary, match="delta=1, gamma=1;"):
+                call()
 
 
 def test_witness_independence():
@@ -270,6 +292,8 @@ def test_integer_label_tests_match_fractions(triple):
     assert is_lspace_slope(Y, w, mu) == fraction_is_lspace(Y, w, mu)
     r = lspace_interval(Y, w)
     assert (r.label_bounds, r.achieving) == fraction_label_bounds(Y, w)
+    if r.kind == "closed":
+        assert r.label_bounds[0] < 0 < r.label_bounds[1]
     assert check_corollary_consistency(Y, w, mu) == fraction_corollary_consistency(Y, w, mu)
 
 

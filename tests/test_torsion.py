@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lspace.abelian import FinAbGroup, GroupElement, Slope
-from lspace.corpus import gap_record, n_g, solid_torus, t25, trefoil
+from lspace.corpus import (gap_record, n_g, random_records, solid_torus, t25,
+                           trefoil)
 from lspace.errors import (LSpaceError, Lemma73Violation, LongitudeFilling,
                            NegativePhiInComplement, NonTorsionLongitude,
                            NotFloerSimpleSlope, ZeroInComplement)
@@ -15,7 +16,7 @@ from lspace.torsion import (DtauData, DtauElement, FloerSimpleManifold,
                             filling_homology_order, gamma_closed, hfk_support,
                             iota_coordinates, manifold_from_json,
                             manifold_to_json, milnor_invariants, retwist,
-                            reversed_encoding, tau_coefficient,
+                            reversed_encoding, tau_coefficient, tauc_degree,
                             validate_manifold)
 
 
@@ -118,7 +119,10 @@ def test_milnor_solid_torus():
 
 def test_milnor_identity_with_tau_bar():
     # (1 - t) tau_bar == delta_bar as a truncated-series identity
-    for Y in (trefoil(), t25(), n_g(2), n_g(3), n_g(4)):
+    torsion_records = [Y for seed in range(4) for Y in random_records(seed=seed)
+                       if validate_manifold(Y).torsion_size > 1]
+    assert torsion_records
+    for Y in (trefoil(), t25(), n_g(2), n_g(3), n_g(4), *torsion_records):
         rep = validate_manifold(Y)
         mil = milnor_invariants(Y)
         upto = len(mil.delta_bar) + 4
@@ -129,6 +133,9 @@ def test_milnor_identity_with_tau_bar():
         recon = [tau_bar[0]] + [tau_bar[i] - tau_bar[i - 1] for i in range(1, upto + 1)]
         assert recon[:len(mil.delta_bar)] == list(mil.delta_bar)
         assert all(c == 0 for c in recon[len(mil.delta_bar):])
+        # the top coefficient is the count of the top level, never 0
+        assert mil.norm == tauc_degree(Y)
+        assert mil.delta_bar[-1] != 0
 
 
 def test_lemma73_violation():
