@@ -4,7 +4,7 @@ and an independent coloring oracle cross-validating every decision path.
 """
 
 from .abelian import (FinAbGroup, GluingMatrix, GroupElement, Slope,
-                      apply_gluing, pairing_and_label, smith_normal_form)
+                      pairing_and_label, smith_normal_form)
 from .projline import ProjInterval
 from .torsion import (FloerSimpleManifold, dtau, gamma_closed, hfk_support,
                       iota_coordinates, manifold_from_json, manifold_to_json,
@@ -15,7 +15,7 @@ from .interval import (check_corollary_consistency, is_lspace_slope,
 __all__ = [
     "FinAbGroup", "GroupElement", "Slope", "GluingMatrix", "ProjInterval",
     "FloerSimpleManifold", "smith_normal_form", "pairing_and_label",
-    "apply_gluing", "validate_manifold", "tau_coefficient",
+    "validate_manifold", "tau_coefficient",
     "milnor_invariants", "dtau", "gamma_closed", "hfk_support",
     "iota_coordinates", "manifold_from_json", "manifold_to_json",
     "validate_witness", "is_lspace_slope", "lspace_interval",

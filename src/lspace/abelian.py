@@ -188,13 +188,6 @@ def smith_normal_form(mat):
     return [row[:] for row in a], u, v
 
 
-def snf_invariant_factors(mat):
-    """The nonzero invariant factors d1 | d2 | ... of an integer matrix."""
-    d, _, _ = smith_normal_form(mat)
-    n = min(len(d), len(d[0]) if d else 0)
-    return [d[i][i] for i in range(n) if d[i][i]]
-
-
 def quotient_group(num_gens, relations):
     """The abelian group Z^num_gens / <relations>, with coordinates.
 
@@ -504,12 +497,3 @@ class GluingMatrix:
     def rows(self):
         return [[self.e11, self.e12], [self.e21, self.e22]]
 
-
-def apply_gluing(phi, x):
-    """Apply a gluing matrix to a slope or a projective interval."""
-    from .projline import ProjInterval
-    if isinstance(x, Slope):
-        return phi.apply_slope(x)
-    if isinstance(x, ProjInterval):
-        return x.image(phi)
-    raise TypeError("expected Slope or ProjInterval, got %r" % type(x))

@@ -2,15 +2,16 @@
 
 Inputs are file paths or inline JSON documents.  All rationals are
 serialized as "numerator/denominator" strings; slopes use the (m, l)
-Dehn-filling basis with the sign normalization.  Exit codes: 0 on
-success, 1 on validation errors (the error class name is reported
-verbatim in the "error" field), on a file that cannot be read and on a
-failed selftest, 2 when the gluing hypothesis is not met.
-Every subcommand but selftest is one row of COMMANDS, and handle()
-answers it alike for the command line and for each --batch line.
+Dehn-filling basis with the sign normalization.  A command line
+COMMAND INPUT [OPTIONS] becomes the request {"cmd", "input", "args"} that
+a --batch line holds, and handle() alone reads and checks its options
+(spelled in full, at most once each) from the rows of COMMANDS.  Exit
+codes: 0 on success, 2 when the gluing hypothesis is not met, and 1 on
+validation errors (the error class name is reported verbatim in the
+"error" field), on a usage error (ParseError), on a file that cannot be
+read and on a failed selftest.
 """
 
-import argparse
 import errno
 import json
 import os
@@ -158,10 +159,10 @@ def cmd_gst(manifold):
     return out
 
 
-def cmd_selftest(args):
+def cmd_selftest(full):
     from .selftest import run_selftest
     seed = int(os.environ.get("LSPACE_SELFTEST_SEED", "0"))
-    results = run_selftest(seed=seed, full=args.full, echo=True)
+    results = run_selftest(seed=seed, full=full, echo=True)
     ok = all(r.passed for r in results)
     return {"passed": sum(r.passed for r in results),
             "failed": sum(not r.passed for r in results),
@@ -189,33 +190,10 @@ COMMANDS = {
 }
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="lspace",
-        description="L-space intervals, Seifert classification, torus "
-                    "gluings, and coloring oracles from torsion data")
-    parser.add_argument("--batch", help="process one JSON request per line")
-    sub = parser.add_subparsers(dest="command")
-    for name, command in COMMANDS.items():
-        # options not given stay out of the namespace, as out of a request
-        p = sub.add_parser(name, help=command.help,
-                           argument_default=argparse.SUPPRESS)
-        p.add_argument(command.input)
-        for option, kind in command.options.items():
-            if kind is bool:
-                p.add_argument("--" + option, action="store_true")
-            else:
-                p.add_argument("--" + option, type=kind,
-                               required=option in command.required)
-
-    p = sub.add_parser("selftest", help="run the cross-validation corpus")
-    p.add_argument("--full", action="store_true")
-    return parser
-
-
 def _option(kind, value):
-    """A request's option value as argparse reads "--name=value": str(value)
-    in the option's type.  A flag is the bare "--name", so only true."""
+    """A request's option value as the command line reads "--name=value":
+    str(value) in the option's type.  A flag is the bare "--name", so only
+    true."""
     if (kind is bool) != (value is True):
         raise ValueError(value)
     return True if kind is bool else kind(str(value))
@@ -271,43 +249,66 @@ def _run_batch(path, out):
     return worst
 
 
-_SLOPE_FLAGS = {"--" + option for command in COMMANDS.values()
-                for option, kind in command.options.items() if kind is str}
+def _usage():
+    """The help text, written from COMMANDS."""
+    lines = ["usage: lspace COMMAND INPUT [OPTIONS]   (INPUT: a path or inline JSON)",
+             "       lspace --batch FILE              (one JSON request per line)",
+             "       lspace selftest [--full]         (the cross-validation corpus)",
+             "Options are spelled in full, each at most once.  Commands:"]
+    for name, command in COMMANDS.items():
+        words = [name, command.input.upper()]
+        for option, kind in command.options.items():
+            word = "--" + option + {bool: "", int: " N", str: " SLOPE"}[kind]
+            words.append(word if option in command.required else "[%s]" % word)
+        lines += ["  " + " ".join(words), "      " + command.help]
+    return "\n".join(lines) + "\n"
 
 
-def _merge_slope_flags(argv):
-    """Join slope flags with negative values ("--slope -1/1") so argparse
-    does not mistake the value for an option."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _SLOPE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append("%s=%s" % (tok, argv[i + 1]))
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
+def _request(argv):
+    """The request of a command line COMMAND INPUT [OPTIONS], INPUT still
+    unread, or None for any other line or an option given twice.  Options
+    stay raw text: "--name=value", "--name value" (the next word, whatever
+    its sign) or a bare "--name" (True) for a flag or a last word."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    words, options = [], {}
+    rest = iter(argv)
+    for word in rest:
+        if not word.startswith("--"):
+            words.append(word)
+            continue
+        name, eq, value = word[2:].partition("=")
+        if not eq:
+            value = True if command.options.get(name) is bool else next(rest, True)
+        if name in options:
+            return None
+        options[name] = value
+    if len(words) != 2:
+        return None
+    return {"cmd": words[0], "input": words[1], "args": options}
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_merge_slope_flags(list(argv)))
-    if args.batch:
-        return _run_batch(args.batch, sys.stdout)
-    if args.command is None:
-        parser.print_help()
-        return 1
-    if args.command == "selftest":
-        answer = cmd_selftest(args)
+    """Answer one command line and return its exit code.  Any line but
+    --help, --batch FILE, selftest [--full] or a request is answered
+    ParseError, as a --batch line."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] in (["-h"], ["--help"]):
+        sys.stdout.write(_usage())
+        return 0
+    if argv[:1] == ["--batch"] and len(argv) == 2:
+        return _run_batch(argv[1], sys.stdout)
+    if argv[:1] == ["selftest"] and argv[1:] in ([], ["--full"]):
+        answer = cmd_selftest(full=len(argv) == 2)
         _emit(answer, sys.stdout)
         return 0 if answer["ok"] else 1
-    command = COMMANDS[args.command]
+    request = _request(argv)
+    if request is None:
+        _emit({"error": "ParseError"}, sys.stdout)
+        return 1
     try:
-        document = _load_document(getattr(args, command.input))
+        request["input"] = _load_document(request["input"])
     except json.JSONDecodeError as exc:
         _emit({"error": "ParseError", "message": exc.msg, "line": exc.lineno,
                "column": exc.colno}, sys.stdout)
@@ -315,9 +316,7 @@ def main(argv=None):
     except (OSError, UnicodeDecodeError) as exc:
         _emit(_unreadable(exc), sys.stdout)
         return 1
-    options = {key.replace("_", "-"): value for key, value in vars(args).items()
-               if key not in ("batch", "command", command.input)}
-    code, answer = handle({"cmd": args.command, "input": document, "args": options})
+    code, answer = handle(request)
     _emit(answer, sys.stdout)
     return code
 

@@ -38,16 +38,9 @@ the package's central cross-validation.
 from functools import lru_cache
 
 from .abelian import ClassEncoding, canonical_longitude, quotient_by_relation
-from .errors import LongitudeFilling, MalformedInput, NotFloerSimpleSlope, require
+from .errors import (LongitudeFilling, MalformedInput, MissingWitness,
+                     NotFloerSimpleSlope, require)
 from .torsion import hfk_support, validate_manifold
-
-
-def simple_knot_support(q):
-    """Occupied classes of the simple knot in a lens space of order q:
-    q consecutive classes on the Z/q-graded line."""
-    if q < 1:
-        raise ValueError("lens order must be positive")
-    return tuple(range(q))
 
 
 def color(Y, mu, h):
@@ -248,10 +241,13 @@ def surgery_is_lspace_oracle(Y, mu, nu, window_scale=1):
     the implementation: 1 for the pair condition, >= 2 for the explicit
     coset sweep with that window multiplier; verdicts never differ.  A
     scale below 1 leaves the window no margin past the support and is
-    refused.
+    refused, and so is a missing mu (None, as the witness of a record
+    that has none).
     """
     if window_scale < 1:
         raise MalformedInput("window scale must be at least 1, got %r" % (window_scale,))
+    if mu is None:
+        raise MissingWitness("a Floer simple filling slope is required")
     validate_manifold(Y)
     if nu.dot_l == 0:
         raise LongitudeFilling("the longitude filling is never an L-space here")

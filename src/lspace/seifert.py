@@ -54,9 +54,6 @@ class SeifertData:
         s = lcm(*[sd for _, sd in self.fibers])
         return Fraction(self.e0 * s + sum(r * (s // sd) for r, sd in self.fibers), s)
 
-    def is_normalized(self):
-        return all(s > 0 and 0 < r < s and gcd(r, s) == 1 for r, s in self.fibers)
-
 
 @reads_input
 def sfs_from_json(doc):
@@ -65,8 +62,7 @@ def sfs_from_json(doc):
 
 def sfs_normalize(d):
     """Reduce every fiber slope into (0, 1), absorbing integer parts into
-    e0, and return (normalized data, transcript of the shifts applied)."""
-    transcript = []
+    e0.  Normalized data comes back as it is, with no new object built."""
     e0 = d.e0
     fibers = []
     for r, s in d.fibers:
@@ -75,19 +71,18 @@ def sfs_normalize(d):
         g = gcd(abs(r), s)
         r, s = r // g, s // g
         z = r // s
-        if z:
-            transcript.append("shifted %d/%d by %d into e0" % (r, s, -z))
         e0 += z
         fibers.append((r - z * s, s))
-    if e0 != d.e0:
-        transcript.append("e0: %d -> %d" % (d.e0, e0))
-    return SeifertData(e0=e0, fibers=tuple(fibers)), transcript
+    fibers = tuple(fibers)
+    if (e0, fibers) == (d.e0, d.fibers):
+        return d
+    return SeifertData(e0=e0, fibers=fibers)
 
 
 def sfs_flip(d):
     """The orientation reversal M(-e0; -r1/s1, ...), renormalized."""
     flipped = SeifertData(e0=-d.e0, fibers=tuple((-r, s) for r, s in d.fibers))
-    return sfs_normalize(flipped)[0]
+    return sfs_normalize(flipped)
 
 
 class SfsVerdict(NamedTuple):
@@ -158,7 +153,7 @@ def sfs_is_lspace(d):
     Data is normalized first.  With no exceptional fibers the space is a
     lens-space-like filling and is an L-space iff e0 != 0.
     """
-    d, _ = sfs_normalize(d)
+    d = sfs_normalize(d)
     e = d.euler()
     if d.n == 0:
         lspace = d.e0 != 0
@@ -221,8 +216,7 @@ def sfs_dtau(d):
     p = (s/g) sum ri/si and q* = s/g, so p g = sum ri s/si.  No Fraction
     is built: R and F are read from the space's floor table.
     """
-    if not d.is_normalized():
-        d, _ = sfs_normalize(d)
+    d = sfs_normalize(d)
     if d.n == 0:
         return SfsDtau(entries=(), p=0, q_star=1, g=1, s=1)
     s, total, _, floors, _, rems = _side_sums(d.fibers)
@@ -261,8 +255,7 @@ def sfs_is_lspace_via_dtau(d):
     alpha/beta <= a-/b- (negative label) both read
     (alpha b - a beta) beta >= 0 for the lift (a, b) compared.
     """
-    if not d.is_normalized():
-        d, _ = sfs_normalize(d)
+    d = sfs_normalize(d)
     if d.n == 0:
         return d.e0 != 0
     data = sfs_dtau(d)
@@ -306,6 +299,5 @@ def sfs_fiber_interval(d, j):
         raise TooFewFibers("need at least two exceptional fibers")
     if j not in range(d.n):
         raise MalformedInput("fiber index %r is not in 0..%d" % (j, d.n - 1))
-    if not d.is_normalized():
-        d, _ = sfs_normalize(d)
+    d = sfs_normalize(d)
     return FiberInterval(*(v - d.e0 for v in _minmax_sides(d.fibers, j)))

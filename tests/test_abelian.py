@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from lspace.abelian import (ClassEncoding, FinAbGroup, GluingMatrix,
                             GroupElement, Slope, _rotation_masks, bitmask,
                             canonical_longitude, pairing_and_label,
-                            primitive_slope_qs,
-                            smith_normal_form, snf_invariant_factors,
+                            primitive_slope_qs, smith_normal_form,
                             window_slope_qs)
 from lspace.errors import DeterminantError
 
@@ -113,11 +112,6 @@ def test_snf_random_sample_vs_minor_gcds():
         cols = rng.randint(1, 4)
         mat = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
         check_snf(mat)
-
-
-def test_invariant_factors():
-    assert snf_invariant_factors([[2, 4], [6, 8]]) == [2, 4]
-    assert snf_invariant_factors([[0, 0], [0, 0]]) == []
 
 
 slopes = st.tuples(st.integers(-30, 30), st.integers(-30, 30)).filter(

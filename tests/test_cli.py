@@ -1,14 +1,18 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from lspace.cli import main
+import lspace
+from lspace.cli import COMMANDS, main
 
 DATA = Path(__file__).parent / "data"
+TREFOIL = str(DATA / "trefoil.json")
 
 
 def run_cli(*argv):
@@ -255,6 +259,84 @@ def test_batch_refuses_options_as_the_command_line_does(tmp_path, case):
     code, rows = _run_batch_lines(tmp_path, [line])
     assert code == 1
     assert rows == [{"error": "ParseError", "index": 0}]
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_ARGS))
+def test_command_line_refuses_what_a_batch_line_refuses(tmp_path, capsys, case):
+    cmd, args = REFUSED_ARGS[case]
+    options = ["--" + name if value is True else "--%s=%s" % (name, value)
+               for name, value in args.items()]
+    code, out = run_cli(cmd, TREFOIL, *options)
+    line = json.dumps({"cmd": cmd, "input": _trefoil_with(), "args": args})
+    _, rows = _run_batch_lines(tmp_path, [line])
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out) == {k: v for k, v in rows[0].items() if k != "index"}
+    assert capsys.readouterr().err == ""
+
+
+USAGE_ERRORS = {
+    "abbreviated-option": ["oracle", TREFOIL, "--nu", "2/1", "--window", "2"],
+    "abbreviated-flag": ["cfd", TREFOIL, "--twist"],
+    "repeated-option": ["check", TREFOIL, "--slope", "2/1", "--slope", "-1/1"],
+    "not-an-int": ["sfs", str(DATA / "sfs_poincare_like.json"), "--fiber", "abc"],
+    "no-input": ["interval"],
+    "two-inputs": ["interval", TREFOIL, TREFOIL],
+    "unknown-command": ["intervals", TREFOIL],
+    "no-command": [],
+    "batch-without-file": ["--batch"],
+    "selftest-option": ["selftest", "--fast"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_command_line_usage_error_is_parse_error(capsys, case):
+    assert run_cli(*USAGE_ERRORS[case]) == (1, '{"error": "ParseError"}\n')
+    assert capsys.readouterr().err == ""
+
+
+def test_option_spellings_and_places_give_one_answer():
+    answers = {run_cli(*argv) for argv in [
+        ("check", TREFOIL, "--slope", "-1/1"), ("check", TREFOIL, "--slope=-1/1"),
+        ("check", "--slope", "-1/1", TREFOIL), ("check", "--slope=-1/1", TREFOIL)]}
+    assert answers == {(0, '{"consistent": true, "lspace": false}\n')}
+    n2 = str(DATA / "n2.json")
+    answers = {run_cli(*argv) for argv in [("cfd", n2, "--twist-compare"),
+                                           ("cfd", "--twist-compare", n2)]}
+    assert answers == {(0, '{"gst": true, "twist_compare": true}\n')}
+
+
+def test_process_streams_and_exit_codes():
+    env = dict(os.environ, PYTHONPATH=str(Path(lspace.__file__).parents[1]))
+
+    def run(*argv):
+        proc = subprocess.run([sys.executable, "-m", "lspace.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    assert run("check", TREFOIL) == (1, '{"error": "ParseError"}\n', "")
+    doc = json.loads((DATA / "glue_true.json").read_text())
+    doc["phi"] = [[1, 1], [4, 3]]
+    code, out, err = run("glue", json.dumps(doc))
+    assert (code, json.loads(out)["error"], err) == (2, "HypothesisNotMet", "")
+    code, out, err = run("--help")
+    assert (code, err) == (0, "")
+    for name, command in COMMANDS.items():
+        assert name in out
+        for option in command.options:
+            assert "--" + option in out
+
+
+def test_oracle_without_mu_or_witness_is_missing_witness(tmp_path):
+    record = {k: v for k, v in _trefoil_with().items() if k != "witness"}
+    code, out = run_cli("oracle", json.dumps(record), "--nu", "2/1")
+    assert code == 1
+    assert json.loads(out)["error"] == "MissingWitness"
+    lines = [json.dumps({"cmd": "oracle", "input": doc, "args": {"nu": "2/1"}})
+             for doc in (record, _trefoil_with())]
+    code, rows = _run_batch_lines(tmp_path, lines)
+    assert code == 1
+    assert rows == [dict(json.loads(out), index=0), {"lspace": True, "index": 1}]
 
 
 def test_batch_reads_option_values_as_strings(tmp_path):

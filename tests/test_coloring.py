@@ -1,20 +1,12 @@
 import pytest
 
 from lspace.abelian import GroupElement, Slope
-from lspace.coloring import color, simple_knot_support, surgery_is_lspace_oracle
+from lspace.coloring import color, surgery_is_lspace_oracle
 from lspace.corpus import n_g, random_records, solid_torus, t25, trefoil
 from lspace.errors import LongitudeFilling, MalformedInput, NotFloerSimpleSlope
 from lspace.interval import is_lspace_slope
 from lspace.selftest import all_slopes, valid_witnesses
 from lspace.torsion import filling_homology_order, hfk_support
-
-
-def test_simple_knot_support():
-    assert simple_knot_support(1) == (0,)
-    assert simple_knot_support(3) == (0, 1, 2)
-    assert len(simple_knot_support(5)) == 5
-    with pytest.raises(ValueError):
-        simple_knot_support(0)
 
 
 def test_color_examples():

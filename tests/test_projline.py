@@ -1,7 +1,7 @@
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lspace.abelian import GluingMatrix, Slope, apply_gluing
+from lspace.abelian import GluingMatrix, Slope
 from lspace.projline import ProjInterval, ccw
 
 
@@ -101,7 +101,7 @@ def test_gluing_example_shear():
     # shear fixing the slope-1 point: open (1, oo) maps to open (1, oo)
     phi = GluingMatrix(1, 0, 1, -1)
     arc = ProjInterval.arc(S(1), INF, False, False)
-    image = apply_gluing(phi, arc)
+    image = arc.image(phi)
     # endpoint images: phi(1) = oo, phi(oo) = 1
     assert phi.apply_slope(S(1)) == INF
     assert phi.apply_slope(INF) == S(1)
@@ -115,7 +115,7 @@ def test_gluing_example_wrap():
     # this map sends open (1, oo) onto the complement of closed [2, 3]
     phi = GluingMatrix(3, -5, 1, -2)
     arc = ProjInterval.arc(S(1), INF, False, False)
-    image = apply_gluing(phi, arc)
+    image = arc.image(phi)
     assert phi.apply_slope(S(1)) == S(2)
     assert phi.apply_slope(INF) == S(3)
     assert phi.apply_slope(S(2)) == INF   # pole inside the source interval
@@ -127,7 +127,7 @@ def test_gluing_example_wrap():
 
 def test_gluing_everything():
     phi = GluingMatrix(3, -5, 1, -2)
-    assert apply_gluing(phi, ProjInterval.everything()).same_points(
+    assert ProjInterval.everything().image(phi).same_points(
         ProjInterval.everything())
 
 
@@ -145,11 +145,11 @@ def test_gluing_interval_roundtrip(a, b, c, d, x1, y1, x2, y2, f1, f2):
         return
     phi = GluingMatrix(a, b, c, d)
     arc = ProjInterval.arc(lo, hi, f1, f2)
-    back = apply_gluing(phi.inverse(), apply_gluing(phi, arc))
+    back = arc.image(phi).image(phi.inverse())
     assert back.same_points(arc)
     # membership is preserved pointwise
     for s in (Slope(0, 1), Slope(1, 0), Slope(1, 1), Slope(2, 3), Slope(-3, 1)):
-        assert arc.contains(s) == apply_gluing(phi, arc).contains(phi.apply_slope(s))
+        assert arc.contains(s) == arc.image(phi).contains(phi.apply_slope(s))
 
 
 slope_coords = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda ab: ab != (0, 0))

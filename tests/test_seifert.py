@@ -18,13 +18,15 @@ def M(e0, *fibers):
 
 
 def test_normalize_examples():
-    d, _ = sfs_normalize(M(0, (5, 3)))
+    d = sfs_normalize(M(0, (5, 3)))
     assert d == M(1, (2, 3))
-    d, _ = sfs_normalize(M(0, (-1, 2), (1, 3)))
+    d = sfs_normalize(M(0, (-1, 2), (1, 3)))
     assert d == M(-1, (1, 2), (1, 3))
     # negative denominators and common factors reduce away
-    d, _ = sfs_normalize(M(2, (-2, -4)))
+    d = sfs_normalize(M(2, (-2, -4)))
     assert d == M(2, (1, 2))
+    # normalized data comes back as it is
+    assert sfs_normalize(d) is d
 
 
 def test_normalize_rejects_integer_slope():
@@ -189,7 +191,7 @@ def unnormalized_sfs(draw):
 
 def dtau_reference(d):
     """sfs_dtau's formula in Fractions: delta = (s/g)(-j + sum [ri x]/si)."""
-    d, _ = sfs_normalize(d)
+    d = sfs_normalize(d)
     s = lcm(*[sd for _, sd in d.fibers])
     g = gcd(sum(r * (s // sd) for r, sd in d.fibers), s)
     p = Fraction(s, g) * sum(Fraction(r, sd) for r, sd in d.fibers)
@@ -211,7 +213,7 @@ def dtau_reference(d):
 def via_dtau_reference(d):
     """The surgery-label inequalities compared as Fractions."""
     entries, p, q_star, _, _ = dtau_reference(d)
-    d, _ = sfs_normalize(d)
+    d = sfs_normalize(d)
     n_pairing = q_star * d.e0 + p
     if n_pairing == 0:
         return False
@@ -265,7 +267,7 @@ def bracket_reference(fibers):
 def test_classifier_matches_fraction_reference(d):
     euler = d.e0 + sum(Fraction(r, s) for r, s in d.fibers)
     assert d.euler() == euler
-    norm, _ = sfs_normalize(d)
+    norm = sfs_normalize(d)
     min_side, max_side = sides_reference(norm.e0, norm.fibers)
     lo, hi = bracket_reference(norm.fibers)
     v = sfs_is_lspace(d)
