@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .errors import DeterminantError, require
+from .errors import DeterminantError, read_int, require
 
 
 class GroupElement(NamedTuple):
@@ -35,7 +35,7 @@ class FinAbGroup:
     torsion_orders: tuple
 
     def __post_init__(self):
-        orders = tuple(int(n) for n in self.torsion_orders)
+        orders = tuple(self.torsion_orders)
         if any(n < 2 for n in orders):
             raise ValueError("cyclic orders must be >= 2, got %r" % (orders,))
         object.__setattr__(self, "torsion_orders", orders)
@@ -53,7 +53,7 @@ class FinAbGroup:
         torsion = tuple(torsion)
         if len(torsion) != len(self.torsion_orders):
             raise ValueError("torsion part has wrong length")
-        return GroupElement(int(free), tuple(t % n for t, n in zip(torsion, self.torsion_orders)))
+        return GroupElement(free, tuple(t % n for t, n in zip(torsion, self.torsion_orders)))
 
     def zero(self):
         return GroupElement(0, (0,) * len(self.torsion_orders))
@@ -361,7 +361,7 @@ class Slope:
     b: int
 
     def __post_init__(self):
-        a, b = int(self.a), int(self.b)
+        a, b = self.a, self.b
         if a == 0 and b == 0:
             raise ValueError("slope (0,0) is not allowed")
         g = gcd(abs(a), abs(b))
@@ -492,7 +492,7 @@ class GluingMatrix:
     @classmethod
     def from_rows(cls, rows):
         (e11, e12), (e21, e22) = rows
-        return cls(int(e11), int(e12), int(e21), int(e22))
+        return cls(*(read_int(e, "phi") for e in (e11, e12, e21, e22)))
 
     def rows(self):
         return [[self.e11, self.e12], [self.e21, self.e22]]

@@ -161,12 +161,14 @@ def cmd_gst(manifold):
 
 def cmd_selftest(full):
     from .selftest import run_selftest
-    seed = int(os.environ.get("LSPACE_SELFTEST_SEED", "0"))
+    try:
+        seed = int(os.environ.get("LSPACE_SELFTEST_SEED", "0"))
+    except ValueError as exc:
+        return {"error": MalformedInput.__name__, "message": "LSPACE_SELFTEST_SEED: %s" % exc}
     results = run_selftest(seed=seed, full=full, echo=True)
-    ok = all(r.passed for r in results)
     return {"passed": sum(r.passed for r in results),
             "failed": sum(not r.passed for r in results),
-            "ok": ok}
+            "ok": all(r.passed for r in results)}
 
 
 Command = namedtuple("Command", "handler help input options required",
@@ -302,7 +304,7 @@ def main(argv=None):
     if argv[:1] == ["selftest"] and argv[1:] in ([], ["--full"]):
         answer = cmd_selftest(full=len(argv) == 2)
         _emit(answer, sys.stdout)
-        return 0 if answer["ok"] else 1
+        return 0 if answer.get("ok") else 1
     request = _request(argv)
     if request is None:
         _emit({"error": "ParseError"}, sys.stdout)

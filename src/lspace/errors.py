@@ -18,7 +18,8 @@ class LSpaceError(Exception):
 class MalformedInput(LSpaceError):
     """Outside input that cannot be read: a missing key, a value of the
     wrong type or shape, a cyclic order below 2, the slope 0/0, a fiber
-    index out of range or an oracle window scale below 1."""
+    index out of range or an oracle window scale below 1.  An integer field
+    takes a JSON integer only: 2.0, 1.5 and true are refused."""
 
 
 def reads_input(fn):
@@ -31,6 +32,13 @@ def reads_input(fn):
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise MalformedInput("%s: %s" % (type(exc).__name__, exc)) from exc
     return reader
+
+
+def read_int(value, field):
+    """An integer field of outside input: an int, never a bool or a float."""
+    if type(value) is not int:
+        raise MalformedInput("%s: %r is not an integer" % (field, value))
+    return value
 
 
 # --- manifold record validation ---

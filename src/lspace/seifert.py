@@ -28,7 +28,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import (IntegerFiberSlope, MalformedInput, TooFewFibers,
-                     reads_input, require)
+                     read_int, reads_input, require)
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,12 @@ class SeifertData:
     fibers: tuple  # pairs (r, s)
 
     def __post_init__(self):
-        fibers = tuple((int(r), int(s)) for r, s in self.fibers)
+        fibers = tuple((r, s) for r, s in self.fibers)
         for r, s in fibers:
             if s == 0:
                 raise IntegerFiberSlope("fiber slope with zero denominator")
             if r % s == 0:
                 raise IntegerFiberSlope("fiber slope %d/%d is an integer" % (r, s))
-        object.__setattr__(self, "e0", int(self.e0))
         object.__setattr__(self, "fibers", fibers)
 
     @property
@@ -57,7 +56,8 @@ class SeifertData:
 
 @reads_input
 def sfs_from_json(doc):
-    return SeifertData(e0=doc["e0"], fibers=tuple((r, s) for r, s in doc["fibers"]))
+    return SeifertData(e0=read_int(doc["e0"], "e0"), fibers=tuple(
+        (read_int(r, "fibers"), read_int(s, "fibers")) for r, s in doc["fibers"]))
 
 
 def sfs_normalize(d):

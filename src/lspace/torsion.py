@@ -28,8 +28,8 @@ from .abelian import (FinAbGroup, GroupElement, Slope, bitmask,
                       quotient_by_relation)
 from .errors import (BadMeridianFreePart, Lemma73Violation, LongitudeFilling,
                      NegativePhiInComplement, NonTorsionLongitude,
-                     NotFloerSimpleSlope, ZeroInComplement, reads_input,
-                     require)
+                     NotFloerSimpleSlope, ZeroInComplement, read_int,
+                     reads_input, require)
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -417,17 +417,17 @@ def conj_record(Y):
 
 @reads_input
 def manifold_from_json(doc):
-    group = FinAbGroup(tuple(doc.get("torsion_orders", ())))
-    def elt(d):
-        return group.element(d["free"], tuple(d.get("torsion", ())))
-    witness = None
-    if doc.get("witness") is not None:
-        witness = Slope(doc["witness"]["a"], doc["witness"]["b"])
+    group = FinAbGroup(read_int(n, "torsion_orders") for n in doc.get("torsion_orders", ()))
+    def elt(d, key):
+        return group.element(read_int(d["free"], key + ".free"),
+                             (read_int(t, key + ".torsion") for t in d.get("torsion", ())))
+    w = doc.get("witness")
+    witness = None if w is None else Slope(*(read_int(w[c], "witness." + c) for c in "ab"))
     return FloerSimpleManifold(
         group=group,
-        iota_m=elt(doc["iota_m"]),
-        iota_l=elt(doc["iota_l"]),
-        tauc_support=frozenset(elt(d) for d in doc.get("tauc_support", ())),
+        iota_m=elt(doc["iota_m"], "iota_m"),
+        iota_l=elt(doc["iota_l"], "iota_l"),
+        tauc_support=frozenset(elt(d, "tauc_support") for d in doc.get("tauc_support", ())),
         witness=witness)
 
 

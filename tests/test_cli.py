@@ -187,11 +187,36 @@ def _trefoil_with(**changes):
     return doc
 
 
+def _data_with(name, value, *path):
+    """The document tests/data/NAME with the node at PATH set to VALUE."""
+    doc = json.loads((DATA / name).read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+SFS = {"e0": -1, "fibers": [[1, 2], [1, 3], [1, 5]]}
+
+# an integer field takes a JSON integer only, so from "torsion-float-l" on
+# each float or bool below is MalformedInput, not a number read as an int
 MALFORMED = {
     "order-one": ("interval", json.dumps(_trefoil_with(torsion_orders=[1]))),
     "no-iota-l": ("interval", json.dumps({k: v for k, v in _trefoil_with().items()
                                           if k != "iota_l"})),
     "list-record": ("dtau", json.dumps([_trefoil_with()])),
+    "torsion-float-l": ("interval",
+                        json.dumps(_data_with("n2.json", [1.5], "iota_l", "torsion"))),
+    "torsion-float-m": ("interval",
+                        json.dumps(_data_with("n2.json", [1.5], "iota_m", "torsion"))),
+    "free-float": ("interval", json.dumps(_data_with("n2.json", 2.0, "iota_m", "free"))),
+    "witness-bool": ("interval", json.dumps(_data_with("n2.json", True, "witness", "a"))),
+    "order-float": ("interval", json.dumps(_data_with("n2.json", [2.0], "torsion_orders"))),
+    "e0-float": ("sfs", json.dumps(dict(SFS, e0=0.5))),
+    "fiber-bool": ("sfs", json.dumps(dict(SFS, fibers=[[1, 2], [True, 3], [1, 5]]))),
+    "phi-float": ("glue",
+                  json.dumps(_data_with("glue_true.json", [[1.5, 1], [4, 3]], "phi"))),
 }
 
 
@@ -212,15 +237,17 @@ def test_batch_answers_lines_after_malformed(tmp_path):
     trefoil_doc = _trefoil_with()
     lines = [{"cmd": "interval", "input": _trefoil_with(torsion_orders=[1])},
              {"cmd": "check", "input": trefoil_doc, "args": {"slope": "0/0"}},
+             {"cmd": "interval",
+              "input": _data_with("n2.json", [1.5], "iota_l", "torsion")},
              {"cmd": "interval", "input": trefoil_doc}]
     batch = tmp_path / "requests.jsonl"
     batch.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
     code, out = run_cli("--batch", str(batch))
     assert code == 1
     rows = [json.loads(line) for line in out.strip().splitlines()]
-    assert [r["index"] for r in rows] == [0, 1, 2]
-    assert rows[0]["error"] == rows[1]["error"] == "MalformedInput"
-    assert rows[2]["kind"] == "closed"
+    assert [r["index"] for r in rows] == [0, 1, 2, 3]
+    assert rows[0]["error"] == rows[1]["error"] == rows[2]["error"] == "MalformedInput"
+    assert rows[3]["kind"] == "closed"
 
 
 def _run_batch_lines(tmp_path, lines):
@@ -386,6 +413,15 @@ def test_selftest_exit_code_on_failure(monkeypatch):
     code, out = run_cli("selftest")
     assert code == 1
     assert json.loads(out) == {"passed": 0, "failed": 1, "ok": False}
+
+
+def test_selftest_seed_not_an_integer(monkeypatch):
+    monkeypatch.setenv("LSPACE_SELFTEST_SEED", "x")
+    code, out = run_cli("selftest")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "MalformedInput"
+    assert "LSPACE_SELFTEST_SEED" in doc["message"]
 
 
 def test_batch_file_missing(tmp_path):

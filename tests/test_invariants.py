@@ -29,7 +29,7 @@ def test_gluing_suite_under_optimize():
          *(str(ROOT / "tests" / name) for name in
            ("test_gluing.py", "test_seifert.py", "test_cfd.py", "test_golden_cli.py",
             "test_torsion.py", "test_interval.py", "test_abelian.py", "test_corpus.py",
-            "test_projline.py"))],
+            "test_projline.py", "test_input_types.py"))],
         capture_output=True, text=True, cwd=ROOT, env=env)
     assert run.returncode == 0, run.stdout + run.stderr
     assert " passed" in run.stdout
