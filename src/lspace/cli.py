@@ -15,6 +15,7 @@ read and on a failed selftest.
 import errno
 import json
 import os
+import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -52,8 +53,12 @@ def _unreadable(exc):
 
 @reads_input
 def _slope_arg(text):
-    num, _, den = text.partition("/")
-    return Slope(int(num), int(den if den else 1))
+    """A slope written a or a/b, each an optional sign and ASCII digits."""
+    match = re.fullmatch(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?", text)
+    if match is None:
+        raise MalformedInput("slope %r is not a or a/b in ASCII digits" % (text,))
+    num, den = match.groups()
+    return Slope(int(num), int(den or 1))
 
 
 def _frac(x):

@@ -17,46 +17,6 @@ from .torsion import (FloerSimpleManifold, gamma_closed, milnor_invariants,
                       tauc_degree, validate_manifold)
 
 
-def solid_torus():
-    group = FinAbGroup(())
-    return FloerSimpleManifold(group=group,
-                               iota_m=GroupElement(1, ()),
-                               iota_l=GroupElement(0, ()),
-                               tauc_support=frozenset(),
-                               witness=Slope(1, 0))
-
-
-def trefoil():
-    """Right-handed trefoil exterior: gap support {1}."""
-    group = FinAbGroup(())
-    return FloerSimpleManifold(group=group,
-                               iota_m=GroupElement(1, ()),
-                               iota_l=GroupElement(0, ()),
-                               tauc_support=frozenset({GroupElement(1, ())}),
-                               witness=Slope(3, 1))
-
-
-def negative_trefoil():
-    """Left-handed trefoil exterior: same torsion record, mirrored witness."""
-    group = FinAbGroup(())
-    return FloerSimpleManifold(group=group,
-                               iota_m=GroupElement(1, ()),
-                               iota_l=GroupElement(0, ()),
-                               tauc_support=frozenset({GroupElement(1, ())}),
-                               witness=Slope(3, -1))
-
-
-def t25():
-    """(2,5) torus knot exterior: gap support {1, 3}."""
-    group = FinAbGroup(())
-    return FloerSimpleManifold(group=group,
-                               iota_m=GroupElement(1, ()),
-                               iota_l=GroupElement(0, ()),
-                               tauc_support=frozenset({GroupElement(1, ()),
-                                                       GroupElement(3, ())}),
-                               witness=Slope(4, 1))
-
-
 def gap_record(gaps, witness=None):
     """A record over Z with the given complement support (knot-exterior style)."""
     gaps = tuple(sorted(gaps))
@@ -68,6 +28,25 @@ def gap_record(gaps, witness=None):
                                iota_l=GroupElement(0, ()),
                                tauc_support=frozenset(GroupElement(f, ()) for f in gaps),
                                witness=witness)
+
+
+def solid_torus():
+    return gap_record((), Slope(1, 0))
+
+
+def trefoil():
+    """Right-handed trefoil exterior: gap support {1}."""
+    return gap_record((1,), Slope(3, 1))
+
+
+def negative_trefoil():
+    """Left-handed trefoil exterior: same torsion record, mirrored witness."""
+    return gap_record((1,), Slope(3, -1))
+
+
+def t25():
+    """(2,5) torus knot exterior: gap support {1, 3}."""
+    return gap_record((1, 3), Slope(4, 1))
 
 
 def n_g(g):

@@ -17,8 +17,9 @@ class LSpaceError(Exception):
 
 class MalformedInput(LSpaceError):
     """Outside input that cannot be read: a missing key, a value of the
-    wrong type or shape, a cyclic order below 2, the slope 0/0, a fiber
-    index out of range or an oracle window scale below 1.  An integer field
+    wrong type or shape, a cyclic order below 2, the slope 0/0, a slope
+    string other than a or a/b in ASCII digits, a fiber index out of range
+    or an oracle window scale below 1.  An integer field
     takes a JSON integer only: 2.0, 1.5 and true are refused."""
 
 
@@ -103,11 +104,6 @@ class HypothesisNotMet(LSpaceError):
 class NotRationalHomologySphere(LSpaceError):
     """The glued manifold has positive first Betti number (q* = 0), hence
     is definitely not an L-space."""
-
-
-class SearchExhausted(LSpaceError):
-    """The bounded judicious-slope search ended without an answer: no
-    judicious slope with p1 <= 400 in either encoding."""
 
 
 class InvariantViolation(LSpaceError):

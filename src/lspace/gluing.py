@@ -22,15 +22,16 @@ instances.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd, lcm
 
-from .abelian import (FinAbGroup, GluingMatrix, GroupElement, Slope,
+from .abelian import (LONGITUDE, FinAbGroup, GluingMatrix, GroupElement, Slope,
                       canonical_longitude, quotient_by_relation,
                       window_slope_qs)
-from .errors import (HypothesisNotMet, NotRationalHomologySphere,
-                     SearchExhausted, reads_input, require)
+from .errors import (HypothesisNotMet, NotRationalHomologySphere, reads_input,
+                     require)
 from .interval import is_lspace_slope, lspace_interval
-from .projline import meet_ranges
+from .projline import ProjInterval, meet_ranges
 from .torsion import (FloerSimpleManifold, conj_record, dtau, reversed_encoding,
                       tauc_degree, validate_manifold)
 
@@ -153,34 +154,29 @@ class JudiciousSlope:
         return self.q2_star % self.p2
 
 
-# the judicious search tries p1 up to this bound in each encoding
-JUDICIOUS_MAX_P = 400
-
-
 def judicious_slope(prob):
     """Deterministic judicious splice meridian.
 
     Searches slopes mu1 = p1 m1 + q1 l1 by increasing p1, then |q1|, then
     positive sign, for the first slope inside the overlap region whose
     image has p2 > max(q*, bound) and which satisfies the coprimality
-    constraints.  When no such slope has p1 <= JUDICIOUS_MAX_P, the second
-    side's basis is negated (with the q* sign repaired) and the search
-    runs again.
+    constraints.  Such a slope lies on the arc of slopes whose raw image
+    has p2 > 0.  When the overlap region misses that arc, the second
+    side's basis is negated (with the q* sign repaired), which sends p2 to
+    -p2, and the search runs in that encoding instead.
     """
     prob = normalize_splice(prob)
     i1_int, pulled = overlap_region(prob)
     if not i1_int.intersects(pulled):
         raise HypothesisNotMet("interval interiors do not overlap under the gluing")
-    found = _scan_judicious(prob, i1_int, pulled)
-    if found is None:
+    if not i1_int.intersects(pulled, _positive_arc(prob.phi)):
+        # the overlap region is open, so it meets the arc where p2 < 0,
+        # which the re-encoding turns into its arc where p2 > 0
         prob = _conj_problem(_reverse_side2(prob))
         i1_int, pulled = overlap_region(prob)
-        if i1_int.intersects(pulled):
-            found = _scan_judicious(prob, i1_int, pulled)
-    if found is None:
-        raise SearchExhausted("no judicious slope with p1 <= %d in either encoding"
-                              % JUDICIOUS_MAX_P)
-    p1, q1, p2, q2 = found
+        require(i1_int.intersects(pulled, _positive_arc(prob.phi)),
+                "the overlap region misses the p2 > 0 arc in both encodings")
+    p1, q1, p2, q2 = _scan_judicious(prob, i1_int, pulled)
     # canonical longitude on side one; side two longitude is -phi(lambda1)
     lam1, q1s, _ = canonical_longitude(Slope(p1, q1))
     lx, ly = prob.phi.apply_raw(lam1.a, lam1.b)
@@ -195,9 +191,31 @@ def judicious_slope(prob):
                           g2=validate_manifold(prob.y2).g)
 
 
+def _positive_arc(phi):
+    """The open arc of side-one slopes p/q, p > 0, whose raw image has
+    p2 = e11 p - q* q > 0 (q* > 0): from the longitude to
+    phi^-1(l2) = q*/e11, through q*/(e11 - 1)."""
+    q_star = phi.q_star
+    return ProjInterval.arc_through(LONGITUDE, Slope(q_star, phi.e11),
+                                    Slope(q_star, phi.e11 - 1), False, False)
+
+
 def _scan_judicious(prob, i1_int, pulled):
-    """The first judicious (p1, q1, p2, q2) of one encoding, or None; the
-    slopes mu1 are taken from i1_int meet pulled, its overlap region."""
+    """The first judicious (p1, q1, p2, q2) of one encoding; the slopes
+    mu1 are taken from i1_int meet pulled, its overlap region, which must
+    meet the arc where p2 > 0.
+
+    The scan ends.  That meeting is a nonempty open arc of slopes p1/q1
+    with q1/p1 < e11/q*, so for growing p1 the window of q1 grows
+    linearly in p1, and so does p2 = e11 p1 - q* q1 on it: the cut
+    p2 > floor_p2 falls away.  A prime p1 above q* g2 and g1 has
+    gcd(p1, q* g2) = 1.  A prime r of g1 that divides q* = -e12 leaves
+    e11 a unit mod r (det = -1), so r never divides p2 = e11 p1 mod r;
+    every other prime of g1 rules out one residue of q1.  So every run
+    of 2R consecutive q1, R the product of the primes of g1, holds two q1
+    with gcd(p2, g1) = 1, and once p1 > 2R one of them is not a multiple
+    of p1.
+    """
     phi = prob.phi
     q_star = phi.q_star  # > 0 in both encodings
     g1 = validate_manifold(prob.y1).g
@@ -206,7 +224,7 @@ def _scan_judicious(prob, i1_int, pulled):
     # p_i > floor_p2 gives p_i > deg_i on both sides
     floor_p2 = max(q_star, (1 + max(tauc_degree(prob.y1), 0))
                    * (1 + max(tauc_degree(prob.y2), 0)))
-    for p1 in range(floor_p2 + 1, JUDICIOUS_MAX_P + 1):
+    for p1 in count(floor_p2 + 1):
         # gcd(p1, g2) = 1, and gcd(p1, p2) = gcd(p1, q* q1) = 1 once q1 is
         # prime to p1
         if gcd(p1, q_star * g2) != 1:
@@ -220,7 +238,6 @@ def _scan_judicious(prob, i1_int, pulled):
             p2, q2 = phi.apply_raw(p1, q1)
             if gcd(p2, g1) == 1:
                 return (p1, q1, p2, q2)
-    return None
 
 
 # --- condition systems ------------------------------------------------------

@@ -9,10 +9,10 @@ counterclockwise from lo to hi, where "counterclockwise" is the direction
 of increasing rationals (0 -> 1 -> oo -> -1 -> 0).
 
 All predicates (membership, intersection, covering the circle) are exact.
-The endpoints of two such sets cut the circle into points and open cells,
-and each set is a union of some of them, so membership is constant on a
-cell.  Intersection and covering are therefore decided on one sample slope
-per endpoint and per cell (see _samples).
+The endpoints of several such sets cut the circle into points and open
+cells, and each set is a union of some of them, so membership is constant
+on a cell.  Intersection and covering are therefore decided on one sample
+slope per endpoint and per cell (see _samples).
 """
 
 from dataclasses import dataclass
@@ -177,9 +177,10 @@ class ProjInterval:
             return [self.lo]
         return [self.lo, self.hi]
 
-    def intersects(self, other):
-        """Is the intersection of the two point sets nonempty?"""
-        return any(self.contains(s) and other.contains(s) for s in _samples(self, other))
+    def intersects(self, *others):
+        """Is the intersection of this point set with the others nonempty?"""
+        sets = (self, *others)
+        return any(all(x.contains(s) for x in sets) for s in _samples(*sets))
 
     def covers_circle_with(self, other):
         """Is the union of the two point sets the whole circle?"""
@@ -216,13 +217,13 @@ def meet_ranges(a, b):
     return [r for r in (_meet(x, y) for x in a for y in b) if r is not None]
 
 
-def _samples(x, y):
-    """Slopes meeting every endpoint of x and y and every open cell between
+def _samples(*sets):
+    """Slopes meeting every endpoint of the sets and every open cell between
     them.  Of e + f and e - f, for distinct endpoints e and f, one lies on
     each of the two arcs between e and f, so every cell between consecutive
     endpoints holds one.  With fewer than two endpoints the rest of the
     circle is a single cell, and two of three fixed slopes lie in it."""
-    ends = list(dict.fromkeys(x._endpoints() + y._endpoints()))
+    ends = list(dict.fromkeys(e for x in sets for e in x._endpoints()))
     out = list(ends)
     for i, e in enumerate(ends):
         for f in ends[:i]:

@@ -21,11 +21,9 @@ downstream (interval computation, gluing, coloring) consumes this record.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
 from typing import NamedTuple
 
-from .abelian import (FinAbGroup, GroupElement, Slope, bitmask,
-                      quotient_by_relation)
+from .abelian import FinAbGroup, GroupElement, Slope, bitmask
 from .errors import (BadMeridianFreePart, Lemma73Violation, LongitudeFilling,
                      NegativePhiInComplement, NonTorsionLongitude,
                      NotFloerSimpleSlope, ZeroInComplement, read_int,
@@ -331,12 +329,12 @@ def hfk_support(Y, mu):
 
 
 def filling_homology_order(Y, mu):
-    """|H_1(Y(mu))| computed from a Smith normal form of the quotient
-    presentation; 0 means infinite."""
+    """|H_1(Y(mu))| = |(Z + T)/<(a, t)>| for iota(mu) = (a, t); 0 means
+    infinite.  For a != 0, T meets <(a, t)> only in 0, so T injects into
+    the quotient, and the quotient by T is Z/a: the order is |a| |T|.
+    For a = 0 the free part survives."""
     iota_mu = Y.iota(mu) if isinstance(mu, Slope) else mu
-    free_rank, orders, _ = quotient_by_relation(
-        [Y.group.torsion_orders], [iota_mu.free, *iota_mu.torsion])
-    return 0 if free_rank else prod(orders)
+    return abs(iota_mu.free) * Y.group.torsion_size
 
 
 # --- re-encodings ---------------------------------------------------------

@@ -217,6 +217,11 @@ MALFORMED = {
     "fiber-bool": ("sfs", json.dumps(dict(SFS, fibers=[[1, 2], [True, 3], [1, 5]]))),
     "phi-float": ("glue",
                   json.dumps(_data_with("glue_true.json", [[1.5, 1], [4, 3]], "phi"))),
+    # a slope is an optional sign and ASCII digits, as a or a/b
+    "slope-underscore": ("check", TREFOIL, "--slope", "1_0/3"),
+    "slope-arabic-indic": ("check", TREFOIL, "--slope", "\u0663/1"),
+    "slope-space": ("check", TREFOIL, "--slope", " 3/1"),
+    "slope-no-denominator": ("check", TREFOIL, "--slope", "3/"),
 }
 
 
@@ -473,10 +478,3 @@ def test_glue_retwisted_piece_finds_a_judicious_slope():
     assert answer["judicious"]["mu1"] == "5/-46"
     assert answer["conditions"]["L"] is False and answer["conditions"]["I"] is False
 
-
-def test_glue_search_exhausted_is_named(monkeypatch):
-    import lspace.gluing
-    monkeypatch.setattr(lspace.gluing, "JUDICIOUS_MAX_P", 1)
-    code, out = run_cli("glue", str(DATA / "glue_true.json"))
-    assert code == 1
-    assert json.loads(out)["error"] == "SearchExhausted"

@@ -1,9 +1,11 @@
 import pytest
 
-from lspace.corpus import n_g, random_records, standard_corpus
+from lspace.abelian import FinAbGroup, GroupElement, Slope
+from lspace.corpus import (n_g, negative_trefoil, random_records,
+                           solid_torus, standard_corpus, t25, trefoil)
 from lspace.interval import validate_witness
-from lspace.torsion import (gamma_closed, milnor_invariants, tauc_degree,
-                            validate_manifold)
+from lspace.torsion import (FloerSimpleManifold, gamma_closed,
+                            milnor_invariants, tauc_degree, validate_manifold)
 
 
 def test_standard_corpus_validates():
@@ -12,6 +14,22 @@ def test_standard_corpus_validates():
         milnor_invariants(Y)
         validate_witness(Y, Y.witness)
         assert gamma_closed(Y)[0]
+
+
+def _knot_record(gaps, a, b):
+    return FloerSimpleManifold(group=FinAbGroup(()),
+                               iota_m=GroupElement(1, ()),
+                               iota_l=GroupElement(0, ()),
+                               tauc_support=frozenset(GroupElement(f, ()) for f in gaps),
+                               witness=Slope(a, b))
+
+
+def test_knot_records_by_value():
+    # the records over Z, spelled out field by field
+    assert solid_torus() == _knot_record((), 1, 0)
+    assert trefoil() == _knot_record((1,), 3, 1)
+    assert negative_trefoil() == _knot_record((1,), 3, -1)
+    assert t25() == _knot_record((1, 3), 4, 1)
 
 
 def test_n_family_structure():

@@ -1,24 +1,26 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lspace.abelian import (ClassEncoding, FinAbGroup, GluingMatrix,
                             GroupElement, Slope, bitmask, pairing_and_label,
                             quotient_by_relation)
-from lspace.corpus import (n_g, random_records, solid_torus, standard_corpus,
-                           t25, trefoil)
-from lspace.errors import (HypothesisNotMet, InvariantViolation,
-                           SearchExhausted)
+from lspace.corpus import (_numerical_semigroup_gaps, gap_record, n_g,
+                           random_records, solid_torus, standard_corpus, t25,
+                           trefoil)
+from lspace.errors import HypothesisNotMet, InvariantViolation
 from lspace.gluing import (SpliceProblem, _multiples, _principal_gap_piece,
                            _sumset, b_sets, condition_systems,
                            judicious_slope, splice_equivalence,
                            splice_is_lspace, spliced_manifold)
 from lspace.interval import is_lspace_slope
-from lspace.torsion import dtau, retwist, validate_manifold
+from lspace.torsion import (conj_record, dtau, retwist, tauc_degree,
+                            validate_manifold)
 
 
 def prob_trefoils(phi):
@@ -365,22 +367,81 @@ def test_gluing_to_the_solid_torus_is_dehn_filling():
         assert set(splice_equivalence(prob).values()) == {filling}, (Y, phi)
 
 
-# the gluings of the worked example's spliced record to the solid torus
-# that have no judicious slope with p1 <= JUDICIOUS_MAX_P (defect B)
-Y12_UNSEARCHED = [[[-1, 2], [0, 1]], [[-1, 2], [1, -1]], [[1, -2], [-1, 1]],
-                  [[1, -2], [0, -1]]]
+def _y12():
+    return spliced_manifold(judicious_slope(prob_trefoils([[3, -5], [1, -2]]))).record
 
 
 def test_spliced_record_glued_to_the_solid_torus_is_dehn_filling():
     # a spliced record is a piece like any other: Y12, the worked example's
     # splice of the trefoil with itself, filled along phi^-1(l2)
-    Y12 = spliced_manifold(judicious_slope(prob_trefoils([[3, -5], [1, -2]]))).record
+    Y12 = _y12()
     for phi in SMALL_GLUINGS:
         prob = SpliceProblem(Y12, solid_torus(), phi)
         filling = is_lspace_slope(Y12, Y12.witness, phi.inverse().apply_slope(Slope(0, 1)))
         assert splice_is_lspace(prob).lspace == filling, phi
-        if phi.rows() in Y12_UNSEARCHED:
-            with pytest.raises(SearchExhausted):
-                splice_equivalence(prob)
-        else:
-            assert set(splice_equivalence(prob).values()) == {filling}, phi
+        assert set(splice_equivalence(prob).values()) == {filling}, phi
+
+
+def test_spliced_record_glued_to_n2():
+    # Y12 has degree 97 and N_2 degree 0, so p1 > 98; the first judicious
+    # slope has p1 = 485, past the 400 at which the scan used to give up
+    prob = SpliceProblem(_y12(), n_g(2), GluingMatrix(1, -2, -1, 1))
+    assert judicious_slope(prob).mu1 == Slope(485, 193)
+    assert splice_equivalence(prob) == dict.fromkeys(
+        ("cover", "conditions_l", "conditions_i", "spliced_interval"), False)
+
+
+def test_narrow_overlap_needs_a_large_p1():
+    # the overlap misses the p2 > 0 arc of the first encoding; in the
+    # second, e11 = 0 and q* = 1, so p2 = -q1 > 20 (the degree of <5, 6>
+    # is 19) forces q1 <= -21, and the overlap holds p1/q1 only below -19
+    Y = gap_record(_numerical_semigroup_gaps((5, 6)))
+    prob = SpliceProblem(Y, n_g(2), GluingMatrix(0, -1, -1, -3))
+    js = judicious_slope(prob)
+    assert js.problem.phi == GluingMatrix(0, -1, -1, 3)
+    assert js.mu1 == Slope(401, -21)
+    assert splice_equivalence(prob) == dict.fromkeys(
+        ("cover", "conditions_l", "conditions_i", "spliced_interval"), False)
+
+
+# the semigroups <a, b> whose largest gap (a - 1)(b - 1) - 1 is at most 25
+SEMIGROUPS = [(a, b) for a in range(2, 6) for b in range(a + 1, 28)
+              if gcd(a, b) == 1 and (a - 1) * (b - 1) <= 26]
+
+# every gluing matrix with entries in [-3, 3] and q* != 0
+GLUINGS_3 = [GluingMatrix(*e) for e in product(range(-3, 4), repeat=4)
+             if e[0] * e[3] - e[1] * e[2] == -1 and e[1] != 0]
+
+
+@st.composite
+def judicious_inputs(draw):
+    """Two pieces, each a gap record of degree at most 25, its mirror, N_2
+    or N_3, under a det -1 matrix."""
+    def piece():
+        kind = draw(st.sampled_from(["gaps", "mirror", "n2", "n3"]))
+        if kind in ("n2", "n3"):
+            return n_g(int(kind[1]))
+        Y = gap_record(_numerical_semigroup_gaps(draw(st.sampled_from(SEMIGROUPS))))
+        return Y if kind == "gaps" else conj_record(Y)
+    return SpliceProblem(piece(), piece(), draw(st.sampled_from(GLUINGS_3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(judicious_inputs())
+def test_judicious_slope_meets_its_definition(prob):
+    try:
+        js = judicious_slope(prob)
+    except HypothesisNotMet:
+        assume(False)
+    y1, y2, phi = js.problem.y1, js.problem.y2, js.problem.phi
+    q_star = phi.q_star
+    g1, g2 = validate_manifold(y1).g, validate_manifold(y2).g
+    floor_p2 = max(q_star, (1 + max(tauc_degree(y1), 0)) * (1 + max(tauc_degree(y2), 0)))
+    assert q_star == js.q_star > 0 and (js.g1, js.g2) == (g1, g2)
+    assert js.p1 > floor_p2 and js.p2 > floor_p2
+    assert gcd(js.p1, q_star * g2) == gcd(js.p1, js.q1) == gcd(js.p2, g1) == 1
+    assert phi.apply_raw(js.p1, js.q1) == (js.p2, js.q2)
+    assert (js.mu1, js.mu2) == (Slope(js.p1, js.q1), Slope(js.p2, js.q2))
+    i1, i2 = js.problem.intervals()
+    assert i1.interval.interior().contains(js.mu1)
+    assert i2.interval.interior().image(phi.inverse()).contains(js.mu1)

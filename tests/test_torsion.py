@@ -1,16 +1,20 @@
 from fractions import Fraction
+from math import prod
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lspace.abelian import FinAbGroup, GroupElement, Slope
-from lspace.corpus import (gap_record, n_g, random_records, solid_torus, t25,
-                           trefoil)
+from lspace.abelian import (FinAbGroup, GluingMatrix, GroupElement, Slope,
+                            quotient_by_relation)
+from lspace.corpus import (gap_record, n_g, random_records, solid_torus,
+                           standard_corpus, t25, trefoil)
 from lspace.errors import (LSpaceError, Lemma73Violation, LongitudeFilling,
                            NegativePhiInComplement, NonTorsionLongitude,
                            NotFloerSimpleSlope, ZeroInComplement)
+from lspace.gluing import SpliceProblem, judicious_slope, spliced_manifold
+from lspace.selftest import all_slopes
 from lspace.torsion import (DtauData, DtauElement, FloerSimpleManifold,
                             _hfk_support_from_iota, conj_record, dtau,
                             filling_homology_order, gamma_closed, hfk_support,
@@ -370,6 +374,23 @@ def test_hfk_cardinality_matches_homology():
                 except NotFloerSimpleSlope:
                     continue
                 assert len(sup) == filling_homology_order(Y, mu)
+
+
+def test_filling_homology_order_matches_quotient():
+    # the closed form |free(iota(mu))| |T| against the Smith normal form of
+    # (Z + T)/<iota(mu)>, on records with torsion up to Z/6
+    spliced = spliced_manifold(judicious_slope(SpliceProblem(
+        n_g(2), n_g(3), GluingMatrix(-2, -1, -1, 0)))).record
+    assert spliced.group.torsion_orders == (6,)
+    records = [*standard_corpus().values(), n_g(4), n_g(5),
+               *random_records(seed=0), *random_records(seed=3), spliced]
+    for Y in records:
+        for mu in all_slopes(9):
+            iota_mu = Y.iota(mu)
+            free_rank, orders, _ = quotient_by_relation(
+                [Y.group.torsion_orders], [iota_mu.free, *iota_mu.torsion])
+            expected = 0 if free_rank else prod(orders)
+            assert filling_homology_order(Y, mu) == expected, (Y, mu)
 
 
 def test_tau_eventually_one():
