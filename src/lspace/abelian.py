@@ -494,6 +494,3 @@ class GluingMatrix:
         (e11, e12), (e21, e22) = rows
         return cls(*(read_int(e, "phi") for e in (e11, e12, e21, e22)))
 
-    def rows(self):
-        return [[self.e11, self.e12], [self.e21, self.e22]]
-

@@ -51,10 +51,20 @@ def _unreadable(exc):
             "message": "%s: %s" % (type(exc).__name__, exc)}
 
 
+_INT = r"[+-]?[0-9]+"  # an integer: an optional sign and ASCII digits
+
+
+def _int_arg(text):
+    """An integer written as _INT; anything else is a ValueError."""
+    if re.fullmatch(_INT, text) is None:
+        raise ValueError("%r is not an integer in ASCII digits" % (text,))
+    return int(text)
+
+
 @reads_input
 def _slope_arg(text):
-    """A slope written a or a/b, each an optional sign and ASCII digits."""
-    match = re.fullmatch(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?", text)
+    """A slope written a or a/b, each an integer as _INT."""
+    match = re.fullmatch(r"(%s)(?:/(%s))?" % (_INT, _INT), text)
     if match is None:
         raise MalformedInput("slope %r is not a or a/b in ASCII digits" % (text,))
     num, den = match.groups()
@@ -167,7 +177,7 @@ def cmd_gst(manifold):
 def cmd_selftest(full):
     from .selftest import run_selftest
     try:
-        seed = int(os.environ.get("LSPACE_SELFTEST_SEED", "0"))
+        seed = _int_arg(os.environ.get("LSPACE_SELFTEST_SEED", "0"))
     except ValueError as exc:
         return {"error": MalformedInput.__name__, "message": "LSPACE_SELFTEST_SEED: %s" % exc}
     results = run_selftest(seed=seed, full=full, echo=True)
@@ -199,11 +209,13 @@ COMMANDS = {
 
 def _option(kind, value):
     """A request's option value as the command line reads "--name=value":
-    str(value) in the option's type.  A flag is the bare "--name", so only
-    true."""
+    str(value) in the option's type, an int written as _INT.  A flag is
+    the bare "--name", so only true."""
     if (kind is bool) != (value is True):
         raise ValueError(value)
-    return True if kind is bool else kind(str(value))
+    if kind is bool:
+        return True
+    return _int_arg(str(value)) if kind is int else str(value)
 
 
 def handle(request):

@@ -15,7 +15,9 @@ two meridians, the combined support is the knot-Floer support of mu
 spread over |beta| consecutive lens classes, and the surgery class is the
 spliced longitude.
 
-Two implementations of the coset check are provided and cross-checked:
+Every class is an integer of a ClassEncoding: free * |T| + tindex, with a
+step by a fixed class one add_table lookup.  Two implementations of the
+coset check are provided and cross-checked:
 
   * window_scale = 1 decides each filling by the pair condition.  A red
     class precedes a blue one in some coset exactly when two combined
@@ -24,13 +26,19 @@ Two implementations of the coset check are provided and cross-checked:
     pair).  Unfolding the combined group along the lens summand turns
     this into arithmetic inside H_1(Y): a support difference must equal
     m*iota(lambda_1) + j*iota(mu), oriented by the sign of nu . l, with
-    j >= 2 + floor(m*alpha/beta) absorbing the lens coordinate.
+    j >= 2 + floor(m*alpha/beta) absorbing the lens coordinate.  One loop
+    serves every group: each m encodes its first class once, and j steps
+    through the encoding of H_1(Y).
 
   * window_scale >= 2 walks every coset of the combined group explicitly
     across a stabilization window around the support (outside it the
-    colors are constant blue below and red above), coloring each class by
-    its decomposition.  Enlarging the window never changes a verdict.
+    colors are constant blue below and red above), from the lowest window
+    class of each free residue and each torsion index, coloring each
+    class by its decomposition.  Enlarging the window never changes a
+    verdict.
 
+The decomposition is one routine of the combined group's setup, and
+color() reads it at lens order 1, where the combined group is H_1(Y).
 Neither route consults the interval criterion; their agreement with it is
 the package's central cross-validation.
 """
@@ -46,42 +54,31 @@ from .torsion import hfk_support, validate_manifold
 def color(Y, mu, h):
     """Color of a class of H_1(Y) relative to the filling slope mu:
     "black" on the knot-Floer support, "red" after adding a positive
-    multiple of iota(mu), "blue" after a negative multiple."""
+    multiple of iota(mu), "blue" after a negative multiple.  Read from
+    the combined group at lens order 1, which is H_1(Y) itself."""
     validate_manifold(Y)
     iota_mu = Y.iota(mu)
     if iota_mu.free == 0:
         raise LongitudeFilling("the longitude is not a filling slope here")
-    blacks = hfk_support(Y, iota_mu)
-    frees = [x.free for x in blacks]
-    lo, hi = min(frees), max(frees)
-    G = Y.group
-    k_min = -((hi - h.free) // iota_mu.free)
-    k_max = (h.free - lo) // iota_mu.free
-    found = None
-    for k in range(k_min, k_max + 1):
-        if G.sub(h, G.scale(k, iota_mu)) in blacks:
-            if found is not None:
-                raise NotFloerSimpleSlope("class %r decomposes twice" % (h,))
-            found = k
-    if found is None:
-        raise NotFloerSimpleSlope("class %r does not decompose" % (h,))
-    return "black" if found == 0 else ("red" if found > 0 else "blue")
+    enc, image, decompose, _ = _combined_setup(Y, iota_mu, 1)
+    c = image([h.free, *h.torsion, 0])
+    return ("blue", "black", "red")[decompose(c.free, enc.tindex(c.torsion)) + 1]
 
 
 @lru_cache(maxsize=None)
 def _support_differences(Y, iota_mu):
     """Pairwise differences of the knot-Floer support as encoded classes,
-    with the free-part span."""
+    with the free-part span and the add table of iota_mu's torsion."""
     support = hfk_support(Y, iota_mu)
     G, enc = Y.group, Y.group.encoding
     diffs = frozenset(enc.encode(G.sub(x2, x1)) for x1 in support for x2 in support)
     frees = [x.free for x in support]
-    return diffs, max(frees) - min(frees)
+    return diffs, max(frees) - min(frees), enc.add_table(iota_mu.torsion)
 
 
-def _oracle_fast(Y, mu, beta, n_coeff, alpha):
+def _oracle_fast(Y, mu, lam1, beta, n_coeff, alpha):
     """Pair-condition verdict; beta > 0, n_coeff = nu . l for the oriented
-    representative of nu.
+    representative of nu, lam1 the canonical longitude of mu.
 
     Improper coloring means some support difference equals
     m * iota(lambda_1) + j * iota(mu) (orientation fixed by the sign of
@@ -89,145 +86,117 @@ def _oracle_fast(Y, mu, beta, n_coeff, alpha):
     window bounds j, and past m_cap the j window sits below the lens
     threshold for good.
     """
-    G = Y.group
+    enc = Y.group.encoding
     iota_mu = Y.iota(mu)
-    diffs, span = _support_differences(Y, iota_mu)
-    lam1, q_star, p_star = canonical_longitude(mu)
-    rep = validate_manifold(Y)
-    g = rep.g
-    pg = mu.a * g
+    diffs, span, add_mu = _support_differences(Y, iota_mu)
+    g = validate_manifold(Y).g
     sigma = 1 if n_coeff > 0 else -1
     alpha_o = sigma * alpha
-    qg = sigma * q_star * g  # free part of the oriented longitude summand
-    orders = G.torsion_orders
+    lam_a, lam_b = sigma * lam1.a, sigma * lam1.b  # the oriented longitude summand
+    qg, pg = lam_a * g, iota_mu.free
+    step = pg * enc.size
     # the j window [(-span - m qg)/pg, (span - m qg)/pg] shrinks against
     # the lens threshold 2 + floor(m alpha_o / beta) at rate |n|/(p beta)
     m_cap = ((span + pg) * beta) // (g * abs(n_coeff)) + 2
-    if not orders:
-        cur = 0
-        for m in range(1, m_cap + 1):
-            cur += qg
-            j_min = 2 + (m * alpha_o) // beta
-            start = max(-((span + m * qg) // pg), j_min)
-            for j in range(start, (span - m * qg) // pg + 1):
-                if cur + j * pg in diffs:
-                    return False
-        return True
-    tsize, weights = G.encoding.size, G.encoding.weights
-    lam_t = tuple((sigma * a) % n for a, n in zip(Y.iota(lam1).torsion, orders))
-    mu_t = iota_mu.torsion
-    cur_free = 0
-    cur_t = (0,) * len(orders)
     for m in range(1, m_cap + 1):
-        cur_free += qg
-        cur_t = tuple((a + b) % n for a, b, n in zip(cur_t, lam_t, orders))
-        j_min = 2 + (m * alpha_o) // beta
-        start = max(-((span + m * qg) // pg), j_min)
-        for j in range(start, (span - m * qg) // pg + 1):
-            t = sum(((a + j * b) % n) * w for a, b, n, w in
-                    zip(cur_t, mu_t, orders, weights))
-            if (cur_free + j * pg) * tsize + t in diffs:
+        j_lo = max(-((span + m * qg) // pg), 2 + (m * alpha_o) // beta)
+        j_hi = (span - m * qg) // pg
+        if j_lo > j_hi:
+            continue
+        h = Y.iota_ab(m * lam_a + j_lo * mu.a, m * lam_b + j_lo * mu.b)
+        code, t = h.free * enc.size, enc.tindex(h.torsion)
+        for _ in range(j_lo, j_hi + 1):  # code + t encodes m lam + j iota(mu)
+            if code + t in diffs:
                 return False
+            code += step
+            t = add_mu[t]
     return True
 
 
 @lru_cache(maxsize=64)
 def _combined_setup(Y, iota_mu, beta):
     """The connected sum of the mu-filling of Y with a lens space of order
-    beta >= 1 (sweep route): the encoding of its first homology, the map
-    from (m-bar, T, lens generator) vectors, the meridian class and the
-    encoded black classes."""
+    beta >= 1: the encoding of its first homology, the map from (m-bar, T,
+    lens generator) vectors, the decomposition of a class and the free
+    span of the black classes.
+
+    decompose(f, t) reads the class of free part f and torsion index t as
+    a black class plus k meridians and returns the sign of k: 0 black,
+    1 red, -1 blue."""
     mu_vec = [iota_mu.free, *iota_mu.torsion]
     free_rank, orders, image = quotient_by_relation(
         [Y.group.torsion_orders, ()], mu_vec + [-beta], mu_vec + [0])
     if free_rank != 1:
         raise NotFloerSimpleSlope("combined filling has wrong free rank")
     enc = ClassEncoding(orders)
-    mu_img = image(mu_vec + [0])
+    size = enc.size
+    lens = image([0] * len(mu_vec) + [1])
+    add_lens = enc.add_table(lens.torsion)
     blacks = set()
-    for h in hfk_support(Y, iota_mu):
-        for k in range(beta):
-            blacks.add(enc.encode(image([h.free, *h.torsion, k])))
+    for h in hfk_support(Y, iota_mu):  # each class, then its beta lens copies
+        c = image([h.free, *h.torsion, 0])
+        f, t = c.free, enc.tindex(c.torsion)
+        for _ in range(beta):
+            blacks.add(f * size + t)
+            f += lens.free
+            t = add_lens[t]
+    mu_free, mu_tors = image(mu_vec + [0])
     # transversality bookkeeping: one black class per meridian coset
-    expected = mu_img.free * enc.size
+    expected = mu_free * size
     if len(blacks) != expected:
         raise NotFloerSimpleSlope(
             "combined support has %d classes, expected %d" % (len(blacks), expected))
-    return enc, image, mu_img, frozenset(blacks)
-
-
-def _oracle_sweep(Y, mu, beta, n_coeff, alpha, window_scale):
-    """Windowed coset sweep in the combined group."""
-    iota_mu = Y.iota(mu)
-    enc, image, (mu_free, mu_tors), blacks = _combined_setup(Y, iota_mu, beta)
-    orders = enc.orders
-    lam1, q_star, p_star = canonical_longitude(mu)
-    iota_lam1 = Y.iota(lam1)
-    lam_free, lam_tors = image([iota_lam1.free, *iota_lam1.torsion, alpha])
-    if lam_free == 0:
-        raise LongitudeFilling("spliced longitude class is torsion")
-    if lam_free < 0:
-        lam_free = -lam_free
-        lam_tors = tuple((-a) % n for a, n in zip(lam_tors, orders))
-
-    size = enc.size
     black_frees = [c // size for c in blacks]
-    lo_black, hi_black = min(black_frees), max(black_frees)
-    margin = window_scale * lam_free
-    lo, hi = lo_black - margin, hi_black + margin
-
-    add_lam = enc.add_table(lam_tors)
+    lo, hi = min(black_frees), max(black_frees)
     add_mu = enc.add_table(mu_tors)
     sub_mu = enc.add_table([-a for a in mu_tors])
 
-    def color_of(f, t):
-        n_min = -((hi_black - f) // mu_free)
-        n_max = (f - lo_black) // mu_free
-        found = None
-        tt = t
-        k = 0
+    def decompose(f, t):
+        n_min = -((hi - f) // mu_free)
+        n_max = (f - lo) // mu_free
+        found = []
+        tt, k = t, 0
         while k >= n_min:  # k = 0, -1, -2, ...: torsion gains mu each step
             if k <= n_max and (f - k * mu_free) * size + tt in blacks:
-                if found is not None:
-                    raise NotFloerSimpleSlope("combined class decomposes twice")
-                found = k
-            tt = add_mu[tt]
-            k -= 1
-        tt = sub_mu[t]
-        k = 1
-        while k <= n_max:
+                found.append(k)
+            tt, k = add_mu[tt], k - 1
+        tt, k = sub_mu[t], 1
+        while k <= n_max:  # k = 1, 2, ...: torsion loses mu each step
             if k >= n_min and (f - k * mu_free) * size + tt in blacks:
-                if found is not None:
-                    raise NotFloerSimpleSlope("combined class decomposes twice")
-                found = k
-            tt = sub_mu[tt]
-            k += 1
-        if found is None:
+                found.append(k)
+            tt, k = sub_mu[tt], k + 1
+        if not found:
             raise NotFloerSimpleSlope("combined class does not decompose")
-        return (found > 0) - (found < 0)
+        if len(found) > 1:
+            raise NotFloerSimpleSlope("combined class decomposes twice")
+        return (found[0] > 0) - (found[0] < 0)
 
-    inv_lam = enc.add_table([-a for a in lam_tors])
-    for rep_free in range(lam_free):
-        for rep_t in range(size):
-            # move to the lowest window position of this coset
-            k0 = -((rep_free - lo) // lam_free)
-            f = rep_free + k0 * lam_free
-            t = rep_t
-            k = k0
-            while k > 0:
-                t = add_lam[t]
-                k -= 1
-            while k < 0:
-                t = inv_lam[t]
-                k += 1
-            seen_red = False
-            while f <= hi:
-                c = color_of(f, t)
+    return enc, image, decompose, (lo, hi)
+
+
+def _oracle_sweep(Y, mu, lam1, beta, alpha, window_scale):
+    """Windowed coset sweep in the combined group: each coset of the
+    spliced longitude is read upward from its lowest window class."""
+    enc, image, decompose, (lo_black, hi_black) = _combined_setup(Y, Y.iota(mu), beta)
+    iota_lam1 = Y.iota(lam1)
+    vec = [iota_lam1.free, *iota_lam1.torsion, alpha]
+    lam = image(vec)
+    if lam.free == 0:
+        raise LongitudeFilling("spliced longitude class is torsion")
+    if lam.free < 0:
+        lam = image([-c for c in vec])
+    add_lam = enc.add_table(lam.torsion)
+    margin = window_scale * lam.free
+    lo, hi = lo_black - margin, hi_black + margin
+    for start in range(lo, lo + lam.free):
+        for t0 in range(enc.size):  # every torsion index starts a coset
+            t, seen_red = t0, False
+            for f in range(start, hi + 1, lam.free):
+                c = decompose(f, t)
                 if c == 1:
                     seen_red = True
                 elif c == -1 and seen_red:
                     return False
-                f += lam_free
                 t = add_lam[t]
     return True
 
@@ -260,9 +229,9 @@ def surgery_is_lspace_oracle(Y, mu, nu, window_scale=1):
     orient = 1 if beta > 0 else -1
     beta = abs(beta)
     n_coeff = orient * nu.a
-    lam1, q_star, p_star = canonical_longitude(mu)
+    lam1, q_star, _ = canonical_longitude(mu)
     alpha, rem = divmod(n_coeff - beta * q_star, mu.a)
     require(rem == 0, "the reference slope does not divide n - beta q*")
     if window_scale == 1:
-        return _oracle_fast(Y, mu, beta, n_coeff, alpha)
-    return _oracle_sweep(Y, mu, beta, n_coeff, alpha, window_scale)
+        return _oracle_fast(Y, mu, lam1, beta, n_coeff, alpha)
+    return _oracle_sweep(Y, mu, lam1, beta, alpha, window_scale)

@@ -281,6 +281,11 @@ REFUSED_ARGS = {
     "value-for-flag": ("cfd", {"twist-compare": "true"}),
     "flag-for-value": ("check", {"slope": True}),
     "not-an-int": ("oracle", {"nu": "2/1", "window-scale": 2.0}),
+    # an int option is an optional sign and ASCII digits, as in a slope
+    "int-underscore": ("sfs", {"fiber": "1_0"}),
+    "int-leading-space": ("sfs", {"fiber": " 1"}),
+    "int-non-ascii-digit": ("sfs", {"fiber": "\u0661"}),
+    "scale-underscore": ("oracle", {"nu": "2/1", "window-scale": "0_2"}),
 }
 
 
@@ -421,12 +426,14 @@ def test_selftest_exit_code_on_failure(monkeypatch):
 
 
 def test_selftest_seed_not_an_integer(monkeypatch):
-    monkeypatch.setenv("LSPACE_SELFTEST_SEED", "x")
-    code, out = run_cli("selftest")
-    assert code == 1
-    doc = json.loads(out)
-    assert doc["error"] == "MalformedInput"
-    assert "LSPACE_SELFTEST_SEED" in doc["message"]
+    # the seed is an optional sign and ASCII digits, as an int option is
+    for seed in ("x", " 1_0", "1_0", "\u0661", "1.0"):
+        monkeypatch.setenv("LSPACE_SELFTEST_SEED", seed)
+        code, out = run_cli("selftest")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["error"] == "MalformedInput"
+        assert "LSPACE_SELFTEST_SEED" in doc["message"]
 
 
 def test_batch_file_missing(tmp_path):
