@@ -10,10 +10,10 @@ is used anywhere.
 """
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple
 
 from .errors import DeterminantError, read_int, require
@@ -25,28 +25,44 @@ class GroupElement(NamedTuple):
     torsion: tuple
 
 
+def _radix_product(start, columns):
+    """Every sum of one entry per column, the last column varying
+    fastest: the mixed-radix order of the torsion residues."""
+    out = [start]
+    for column in columns:
+        out = [a + b for a in out for b in column]
+    return out
+
+
 @dataclass(frozen=True)
 class FinAbGroup:
     """The group Z + T, with T a product of cyclic groups of the given orders.
 
     Every order must be at least 2; an empty tuple means T is trivial.
-    The group's ClassEncoding is built once, on first use.
+
+    A class is also the integer free * |T| + tindex(torsion), with tindex
+    the mixed-radix index of the torsion residues (the last order varies
+    fastest, as in torsion_elements).  A set of classes of nonnegative
+    free part is a bitmask: one Python int with bit free * |T| + tindex
+    set for each member.
     """
     torsion_orders: tuple
+    weights: tuple = field(init=False, repr=False, compare=False)  # of tindex
+    torsion_size: int = field(init=False, repr=False, compare=False)  # |T|
 
     def __post_init__(self):
         orders = tuple(self.torsion_orders)
         if any(n < 2 for n in orders):
             raise ValueError("cyclic orders must be >= 2, got %r" % (orders,))
         object.__setattr__(self, "torsion_orders", orders)
+        object.__setattr__(self, "weights",
+                           tuple(prod(orders[i + 1:]) for i in range(len(orders))))
+        object.__setattr__(self, "torsion_size", prod(orders))
 
     @cached_property
-    def encoding(self):
-        return ClassEncoding(self.torsion_orders)
-
-    @property
-    def torsion_size(self):
-        return self.encoding.size
+    def _residues(self):
+        """The torsion residues of every element of T, in tindex order."""
+        return _radix_product((), [[(r,) for r in range(n)] for n in self.torsion_orders])
 
     def element(self, free, torsion=()):
         """Build a reduced element from a free part and torsion residues."""
@@ -85,11 +101,60 @@ class FinAbGroup:
         return order
 
     def torsion_elements(self):
-        """All elements of T, as elements with free part 0."""
-        elts = [()]
-        for n in self.torsion_orders:
-            elts = [e + (r,) for e in elts for r in range(n)]
-        return [GroupElement(0, e) for e in elts]
+        """All elements of T, as elements with free part 0, in tindex order."""
+        return [GroupElement(0, t) for t in self._residues]
+
+    # --- classes as integers and bitmasks ---
+
+    def tindex(self, torsion):
+        return sum(a * w for a, w in zip(torsion, self.weights))
+
+    def encode(self, h):
+        return h.free * self.torsion_size + self.tindex(h.torsion)
+
+    def add_table(self, torsion):
+        """table[i] is the tindex of the i-th torsion class plus torsion."""
+        return _radix_product(0, [[(c + t) % n * w for c in range(n)] for n, w, t in
+                                  zip(self.torsion_orders, self.weights, torsion)])
+
+    def translate(self, mask, h, levels):
+        """The bitmask of the classes x + h for x in mask, dropping those
+        of negative free part.  mask must lie in free levels
+        0..levels-1; each cyclic factor rotates by two masked shifts."""
+        size = self.torsion_size
+        height = 1 << (levels - 1).bit_length()  # levels rounded up to a power of 2
+        if h.free < 0:
+            mask >>= -h.free * size
+        for factor, (n, w, t) in enumerate(zip(self.torsion_orders, self.weights, h.torsion)):
+            t %= n
+            if t:
+                low, high = _rotation_masks(self, factor, t, height)
+                mask = (mask & low) << t * w | (mask & high) >> (n - t) * w
+        return mask << h.free * size if h.free > 0 else mask
+
+    def classes(self, mask):
+        """The classes of a bitmask, in increasing bit order."""
+        size, residues = self.torsion_size, self._residues
+        digits = bin(mask)[:1:-1]
+        out = []
+        bit = digits.find("1")
+        while bit >= 0:
+            out.append(GroupElement(bit // size, residues[bit % size]))
+            bit = digits.find("1", bit + 1)
+        return out
+
+
+@lru_cache(maxsize=256)
+def _rotation_masks(group, factor, amount, levels):
+    """The classes, over free levels 0..levels-1, whose residue in the
+    given cyclic factor of the group stays below its order after adding
+    amount, and the rest: one-level masks times the repunit of the
+    levels.  Callers round levels up to a power of two, so one entry
+    serves every mask up to that height."""
+    n, w, size = group.torsion_orders[factor], group.weights[factor], group.torsion_size
+    low = sum(1 << i for i in range(size) if i // w % n < n - amount)
+    repunit = ((1 << levels * size) - 1) // ((1 << size) - 1)
+    return low * repunit, ((1 << size) - 1 - low) * repunit
 
 
 # --- Smith normal form ---------------------------------------------------
@@ -265,85 +330,6 @@ def bitmask(bits):
     for bit in bits:
         digits[bit] = ord("1")
     return int(digits[::-1], 2)
-
-
-@lru_cache(maxsize=256)
-def _rotation_masks(orders, factor, amount, levels):
-    """The classes, over free levels 0..levels-1, whose residue in the
-    given cyclic factor stays below its order after adding amount, and
-    the rest: one-level masks times the repunit of the levels.  Callers
-    round levels up to a power of two, so one entry serves every mask
-    up to that height."""
-    enc = ClassEncoding(orders)
-    n, w = orders[factor], enc.weights[factor]
-    low = sum(1 << i for i in range(enc.size) if i // w % n < n - amount)
-    repunit = ((1 << levels * enc.size) - 1) // ((1 << enc.size) - 1)
-    return low * repunit, ((1 << enc.size) - 1 - low) * repunit
-
-
-class ClassEncoding:
-    """The classes of Z + T as integers free * |T| + tindex(torsion), with
-    tindex the mixed-radix index of the torsion residues (the last order
-    varies fastest, as in FinAbGroup.torsion_elements).
-
-    A set of classes of nonnegative free part is a bitmask: one Python int
-    with bit free * |T| + tindex set for each member."""
-
-    def __init__(self, orders):
-        self.orders = tuple(orders)
-        weights = []
-        w = 1
-        for n in reversed(self.orders):
-            weights.append(w)
-            w *= n
-        weights.reverse()
-        self.weights = tuple(weights)
-        self.size = w
-
-    def tindex(self, torsion):
-        return sum(a * w for a, w in zip(torsion, self.weights))
-
-    def encode(self, h):
-        return h.free * self.size + self.tindex(h.torsion)
-
-    def add_table(self, torsion):
-        """table[i] is the index of the i-th torsion class plus torsion."""
-        table = []
-        for idx in range(self.size):
-            rem = idx
-            shifted = 0
-            for n, w, t in zip(self.orders, self.weights, torsion):
-                c = rem // w
-                rem %= w
-                shifted += ((c + t) % n) * w
-            table.append(shifted)
-        return table
-
-    def translate(self, mask, h, levels):
-        """The bitmask of the classes x + h for x in mask, dropping those
-        of negative free part.  mask must lie in free levels
-        0..levels-1; each cyclic factor rotates by two masked shifts."""
-        size = self.size
-        height = 1 << (levels - 1).bit_length()  # levels rounded up to a power of 2
-        if h.free < 0:
-            mask >>= -h.free * size
-        for factor, (n, w, t) in enumerate(zip(self.orders, self.weights, h.torsion)):
-            t %= n
-            if t:
-                low, high = _rotation_masks(self.orders, factor, t, height)
-                mask = (mask & low) << t * w | (mask & high) >> (n - t) * w
-        return mask << h.free * size if h.free > 0 else mask
-
-    def classes(self, mask):
-        """The classes of a bitmask, in increasing bit order."""
-        torsions = [t.torsion for t in FinAbGroup(self.orders).torsion_elements()]
-        digits = bin(mask)[:1:-1]
-        out = []
-        bit = digits.find("1")
-        while bit >= 0:
-            out.append(GroupElement(bit // self.size, torsions[bit % self.size]))
-            bit = digits.find("1", bit + 1)
-        return out
 
 
 # --- slopes ---------------------------------------------------------------

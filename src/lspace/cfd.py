@@ -63,15 +63,15 @@ def _phi_spread(support):
     return max(frees) - min(frees)
 
 
-def _auto_mu(Y, witness):
-    rep = validate_manifold(Y)
-    norm = milnor_invariants(Y).norm
-    interval = lspace_interval(Y, witness).interval.interior()
-    for p in range(1, 64):
-        if p * rep.g <= norm:
-            continue
+def _auto_mu(Y):
+    """The first Floer simple slope p/q inside the interval, over the 63
+    least p with p g above the norm (above 0 for the solid torus)."""
+    g = validate_manifold(Y).g
+    p_min = max(milnor_invariants(Y).norm, 0) // g + 1
+    interval = lspace_interval(Y, Y.witness).interval.interior()
+    for p in range(p_min, p_min + 63):
         # iota(p m + q l) depends on q only mod g, and primitivity mod p
-        for q in window_slope_qs(p, interval.q_ranges(p), lcm(p, rep.g)):
+        for q in window_slope_qs(p, interval.q_ranges(p), lcm(p, g)):
             s = Slope(p, q)
             try:
                 hfk_support(Y, s)
@@ -81,7 +81,7 @@ def _auto_mu(Y, witness):
     raise MissingWitness("no admissible framing slope found")
 
 
-def build_cfd(Y, witness=None, mu=None, lam=None):
+def build_cfd(Y, mu=None, lam=None):
     """Build the graph at the framing (mu, lambda).
 
     With mu omitted, the slope is auto-selected inside the interval with
@@ -89,10 +89,8 @@ def build_cfd(Y, witness=None, mu=None, lam=None):
     the canonical lambda0 and the minimal N clearing the support spread.
     """
     rep = validate_manifold(Y)
-    if witness is None:
-        witness = Y.witness
     if mu is None:
-        mu = _auto_mu(Y, witness)
+        mu = _auto_mu(Y)
     v0 = hfk_support(Y, mu)
     spread = _phi_spread(v0)
     if lam is None:
@@ -103,7 +101,6 @@ def build_cfd(Y, witness=None, mu=None, lam=None):
         raw = (lam0.a - N * mu.a, lam0.b - N * mu.b)
         lam = Slope(*raw)
     else:
-        lam = Slope(lam.a, lam.b)
         if abs(mu.pairing(lam)) != 1:
             raise InvalidFraming("mu . lambda is %d, not +-1" % mu.pairing(lam))
         # orient the representative so that mu . lambda = +1

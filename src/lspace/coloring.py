@@ -15,8 +15,8 @@ two meridians, the combined support is the knot-Floer support of mu
 spread over |beta| consecutive lens classes, and the surgery class is the
 spliced longitude.
 
-Every class is an integer of a ClassEncoding: free * |T| + tindex, with a
-step by a fixed class one add_table lookup.  Two implementations of the
+Every class is an integer of its group's encoding, free * |T| + tindex,
+with a step by a fixed class one add_table lookup.  Two implementations of the
 coset check are provided and cross-checked:
 
   * window_scale = 1 decides each filling by the pair condition.  A red
@@ -45,7 +45,7 @@ the package's central cross-validation.
 
 from functools import lru_cache
 
-from .abelian import ClassEncoding, canonical_longitude, quotient_by_relation
+from .abelian import FinAbGroup, canonical_longitude, quotient_by_relation
 from .errors import (LongitudeFilling, MalformedInput, MissingWitness,
                      NotFloerSimpleSlope, require)
 from .torsion import hfk_support, validate_manifold
@@ -60,9 +60,9 @@ def color(Y, mu, h):
     iota_mu = Y.iota(mu)
     if iota_mu.free == 0:
         raise LongitudeFilling("the longitude is not a filling slope here")
-    enc, image, decompose, _ = _combined_setup(Y, iota_mu, 1)
+    G, image, decompose, _ = _combined_setup(Y, iota_mu, 1)
     c = image([h.free, *h.torsion, 0])
-    return ("blue", "black", "red")[decompose(c.free, enc.tindex(c.torsion)) + 1]
+    return ("blue", "black", "red")[decompose(c.free, G.tindex(c.torsion)) + 1]
 
 
 @lru_cache(maxsize=None)
@@ -70,10 +70,10 @@ def _support_differences(Y, iota_mu):
     """Pairwise differences of the knot-Floer support as encoded classes,
     with the free-part span and the add table of iota_mu's torsion."""
     support = hfk_support(Y, iota_mu)
-    G, enc = Y.group, Y.group.encoding
-    diffs = frozenset(enc.encode(G.sub(x2, x1)) for x1 in support for x2 in support)
+    G = Y.group
+    diffs = frozenset(G.encode(G.sub(x2, x1)) for x1 in support for x2 in support)
     frees = [x.free for x in support]
-    return diffs, max(frees) - min(frees), enc.add_table(iota_mu.torsion)
+    return diffs, max(frees) - min(frees), G.add_table(iota_mu.torsion)
 
 
 def _oracle_fast(Y, mu, lam1, beta, n_coeff, alpha):
@@ -86,7 +86,7 @@ def _oracle_fast(Y, mu, lam1, beta, n_coeff, alpha):
     window bounds j, and past m_cap the j window sits below the lens
     threshold for good.
     """
-    enc = Y.group.encoding
+    G = Y.group
     iota_mu = Y.iota(mu)
     diffs, span, add_mu = _support_differences(Y, iota_mu)
     g = validate_manifold(Y).g
@@ -94,7 +94,7 @@ def _oracle_fast(Y, mu, lam1, beta, n_coeff, alpha):
     alpha_o = sigma * alpha
     lam_a, lam_b = sigma * lam1.a, sigma * lam1.b  # the oriented longitude summand
     qg, pg = lam_a * g, iota_mu.free
-    step = pg * enc.size
+    step = pg * G.torsion_size
     # the j window [(-span - m qg)/pg, (span - m qg)/pg] shrinks against
     # the lens threshold 2 + floor(m alpha_o / beta) at rate |n|/(p beta)
     m_cap = ((span + pg) * beta) // (g * abs(n_coeff)) + 2
@@ -104,7 +104,7 @@ def _oracle_fast(Y, mu, lam1, beta, n_coeff, alpha):
         if j_lo > j_hi:
             continue
         h = Y.iota_ab(m * lam_a + j_lo * mu.a, m * lam_b + j_lo * mu.b)
-        code, t = h.free * enc.size, enc.tindex(h.torsion)
+        code, t = h.free * G.torsion_size, G.tindex(h.torsion)
         for _ in range(j_lo, j_hi + 1):  # code + t encodes m lam + j iota(mu)
             if code + t in diffs:
                 return False
@@ -116,9 +116,9 @@ def _oracle_fast(Y, mu, lam1, beta, n_coeff, alpha):
 @lru_cache(maxsize=64)
 def _combined_setup(Y, iota_mu, beta):
     """The connected sum of the mu-filling of Y with a lens space of order
-    beta >= 1: the encoding of its first homology, the map from (m-bar, T,
-    lens generator) vectors, the decomposition of a class and the free
-    span of the black classes.
+    beta >= 1: its first homology group, the map from (m-bar, T, lens
+    generator) vectors, the decomposition of a class and the free span of
+    the black classes.
 
     decompose(f, t) reads the class of free part f and torsion index t as
     a black class plus k meridians and returns the sign of k: 0 black,
@@ -128,14 +128,14 @@ def _combined_setup(Y, iota_mu, beta):
         [Y.group.torsion_orders, ()], mu_vec + [-beta], mu_vec + [0])
     if free_rank != 1:
         raise NotFloerSimpleSlope("combined filling has wrong free rank")
-    enc = ClassEncoding(orders)
-    size = enc.size
+    G = FinAbGroup(orders)
+    size = G.torsion_size
     lens = image([0] * len(mu_vec) + [1])
-    add_lens = enc.add_table(lens.torsion)
+    add_lens = G.add_table(lens.torsion)
     blacks = set()
     for h in hfk_support(Y, iota_mu):  # each class, then its beta lens copies
         c = image([h.free, *h.torsion, 0])
-        f, t = c.free, enc.tindex(c.torsion)
+        f, t = c.free, G.tindex(c.torsion)
         for _ in range(beta):
             blacks.add(f * size + t)
             f += lens.free
@@ -148,8 +148,8 @@ def _combined_setup(Y, iota_mu, beta):
             "combined support has %d classes, expected %d" % (len(blacks), expected))
     black_frees = [c // size for c in blacks]
     lo, hi = min(black_frees), max(black_frees)
-    add_mu = enc.add_table(mu_tors)
-    sub_mu = enc.add_table([-a for a in mu_tors])
+    add_mu = G.add_table(mu_tors)
+    sub_mu = G.add_table([-a for a in mu_tors])
 
     def decompose(f, t):
         n_min = -((hi - f) // mu_free)
@@ -171,13 +171,13 @@ def _combined_setup(Y, iota_mu, beta):
             raise NotFloerSimpleSlope("combined class decomposes twice")
         return (found[0] > 0) - (found[0] < 0)
 
-    return enc, image, decompose, (lo, hi)
+    return G, image, decompose, (lo, hi)
 
 
 def _oracle_sweep(Y, mu, lam1, beta, alpha, window_scale):
     """Windowed coset sweep in the combined group: each coset of the
     spliced longitude is read upward from its lowest window class."""
-    enc, image, decompose, (lo_black, hi_black) = _combined_setup(Y, Y.iota(mu), beta)
+    G, image, decompose, (lo_black, hi_black) = _combined_setup(Y, Y.iota(mu), beta)
     iota_lam1 = Y.iota(lam1)
     vec = [iota_lam1.free, *iota_lam1.torsion, alpha]
     lam = image(vec)
@@ -185,11 +185,11 @@ def _oracle_sweep(Y, mu, lam1, beta, alpha, window_scale):
         raise LongitudeFilling("spliced longitude class is torsion")
     if lam.free < 0:
         lam = image([-c for c in vec])
-    add_lam = enc.add_table(lam.torsion)
+    add_lam = G.add_table(lam.torsion)
     margin = window_scale * lam.free
     lo, hi = lo_black - margin, hi_black + margin
     for start in range(lo, lo + lam.free):
-        for t0 in range(enc.size):  # every torsion index starts a coset
+        for t0 in range(G.torsion_size):  # every torsion index starts a coset
             t, seen_red = t0, False
             for f in range(start, hi + 1, lam.free):
                 c = decompose(f, t)

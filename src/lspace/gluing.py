@@ -60,7 +60,7 @@ class SplicedRecord:
     record: FloerSimpleManifold
     lam_slope: Slope
     gap_piece: int        # the three support pieces, as bitmasks over
-    onesided_piece: int   # record.group.encoding
+    onesided_piece: int   # the classes of record.group
     cross_piece: int
 
 
@@ -339,8 +339,9 @@ def spliced_manifold(js):
     classes missed by the product of the two principal series, the two
     one-sided products of a complement support with the opposite meridian
     box, and the meridian-shifted product of the two complement supports.
-    Each piece is a bitmask over ClassEncoding, an OR of translates whose
-    overlaps are refused, and the record holds their OR as its support.
+    Each piece is a bitmask over the classes of the group, an OR of
+    translates whose overlaps are refused, and the record holds their OR
+    as its support.
     The witness is the image meridian, with surgery label 0.
 
     Returns (record, lambda_slope) where lambda_slope = q* m + p* l is the
@@ -391,23 +392,22 @@ def spliced_manifold(js):
     g0 = gcd(js.g1, js.g2)
     require(g == js.g1 * js.g2 // g0, "spliced g = %d is not lcm(g1, g2)", g)
 
-    enc = group.encoding
-    box1 = _meridian_box(enc, group, f1, G1, js.p1 * js.g1)
-    box2 = _meridian_box(enc, group, f2, G2, js.p2 * js.g2)
+    box1 = _meridian_box(group, f1, G1, js.p1 * js.g1)
+    box2 = _meridian_box(group, f2, G2, js.p2 * js.g2)
     tc1 = [f1(h) for h in Y1.tauc_support]
     tc2 = [f2(h) for h in Y2.tauc_support]
-    bits1 = _sumset(enc, 1, tc1, "complement support")
-    bits2 = _sumset(enc, 1, tc2, "complement support")
+    bits1 = _sumset(group, 1, tc1, "complement support")
+    bits2 = _sumset(group, 1, tc2, "complement support")
     # p_i > (1 + max(deg1, 0))(1 + max(deg2, 0)) gives p_i g_i > deg_i, so tc_i
     # lies in box_i and tc1*box2 + box1*tc2 - tc1*tc2 = tc1*(box2 \ tc2) + box1*tc2
     require(not bits1 & ~box1 and not bits2 & ~box2,
             "a complement support leaves its meridian box")
-    gap = _principal_gap_piece(enc, group, box1, f2, G2)
-    onesided = _sumset(enc, box2 & ~bits2, tc1, "support piece")
-    part = _sumset(enc, box1, tc2, "support piece")
+    gap = _principal_gap_piece(group, box1, f2, G2)
+    onesided = _sumset(group, box2 & ~bits2, tc1, "support piece")
+    part = _sumset(group, box1, tc2, "support piece")
     require(not onesided & part, "support piece is not multiplicity-free")
     onesided |= part
-    cross = _sumset(enc, _sumset(enc, bits2, tc1, "cross product"), [iota_muL],
+    cross = _sumset(group, _sumset(group, bits2, tc1, "cross product"), [iota_muL],
                     "cross product")
     require(not (gap & onesided or gap & cross or onesided & cross),
             "support pieces overlap")
@@ -421,20 +421,20 @@ def spliced_manifold(js):
                          onesided_piece=onesided, cross_piece=cross)
 
 
-def _sumset(enc, mask, shifts, what, window=-1):
+def _sumset(group, mask, shifts, what, window=-1):
     """The union of the translates of a bitmask by the given classes, cut
     to window; a class reached twice is refused."""
-    levels = (mask.bit_length() - 1) // enc.size + 1
+    levels = (mask.bit_length() - 1) // group.torsion_size + 1
     out = 0
     for h in shifts:
-        part = enc.translate(mask, h, levels) & window
+        part = group.translate(mask, h, levels) & window
         require(not out & part, "%s is not multiplicity-free", what)
         out |= part
     return out
 
 
-def _multiples(enc, group, mask, gen, count, what, window=-1):
-    """_sumset(enc, mask, [k gen for k in range(count)], what, window) by
+def _multiples(group, mask, gen, count, what, window=-1):
+    """_sumset(group, mask, [k gen for k in range(count)], what, window) by
     doubling: blocks of 1, 2, 4, ... multiples, each the union of the one
     before and its translate by size gen, are combined in binary, so
     about 2 log2(count) translates are taken.  gen has free part >= 0 and
@@ -449,19 +449,20 @@ def _multiples(enc, group, mask, gen, count, what, window=-1):
     block, size, out, start = mask & window, 1, 0, 0
     while count:
         if count & 1:
-            out = _union(out, _shift(enc, group, block, start, gen) & window, what)
+            out = _union(out, _shift(group, block, start, gen) & window, what)
             start += size
         count >>= 1
         if count:
-            block = _union(block, _shift(enc, group, block, size, gen) & window, what)
+            block = _union(block, _shift(group, block, size, gen) & window, what)
             size *= 2
     return out
 
 
-def _shift(enc, group, mask, k, gen):
+def _shift(group, mask, k, gen):
     if not k:
         return mask
-    return enc.translate(mask, group.scale(k, gen), (mask.bit_length() - 1) // enc.size + 1)
+    return group.translate(mask, group.scale(k, gen),
+                           (mask.bit_length() - 1) // group.torsion_size + 1)
 
 
 def _union(a, b, what):
@@ -469,16 +470,16 @@ def _union(a, b, what):
     return a | b
 
 
-def _meridian_box(enc, group, f, side, levels):
+def _meridian_box(group, f, side, levels):
     """The bitmask of the images under f of the classes of free part
     0..levels-1 of side: its torsion layer translated by the multiples of
     the image of its free generator."""
-    layer = _sumset(enc, 1, [f(t) for t in side.torsion_elements()], "torsion layer")
+    layer = _sumset(group, 1, [f(t) for t in side.torsion_elements()], "torsion layer")
     gen = f(GroupElement(1, side.zero().torsion))
-    return _multiples(enc, group, layer, gen, levels, "meridian box")
+    return _multiples(group, layer, gen, levels, "meridian box")
 
 
-def _principal_gap_piece(enc, group, box1, f2, G2):
+def _principal_gap_piece(group, box1, f2, G2):
     """The bitmask of the classes of nonnegative free part missed by the
     product of the first meridian box with the second principal series,
     the images under f2 of the classes of nonnegative free part of G2.
@@ -492,15 +493,15 @@ def _principal_gap_piece(enc, group, box1, f2, G2):
     gen2 = f2(GroupElement(1, G2.zero().torsion))
     phi2 = gen2.free
     require(phi2 > 0, "the second free generator has image %d <= 0", phi2)
-    top = (box1.bit_length() - 1) // enc.size
+    top = (box1.bit_length() - 1) // group.torsion_size
     bound = top + phi2
-    window = (1 << (bound + 1) * enc.size) - 1
-    layer = _sumset(enc, box1, [f2(t) for t in G2.torsion_elements()],
+    window = (1 << (bound + 1) * group.torsion_size) - 1
+    layer = _sumset(group, box1, [f2(t) for t in G2.torsion_elements()],
                     "principal product", window)
-    covered = _multiples(enc, group, layer, gen2, bound // phi2 + 1,
+    covered = _multiples(group, layer, gen2, bound // phi2 + 1,
                          "principal product", window)
     missing = window & ~covered
-    require(missing >> (top + 1) * enc.size == 0,
+    require(missing >> (top + 1) * group.torsion_size == 0,
             "the principal product misses a class above the first box")
     return missing
 

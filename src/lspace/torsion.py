@@ -9,7 +9,7 @@ A manifold Y with torus boundary and b_1 = 1 is recorded by:
   * the finite support of the torsion complement: the normalized torsion
     series has 0/1 coefficients, equals 1 on every class of nonnegative
     free part outside this finite set, and vanishes on negative free parts;
-    the record holds it as one bitmask over its group's ClassEncoding,
+    the record holds it as one bitmask over the classes of its group,
   * optionally a witness slope known to give an L-space filling from the
     interior of the L-space interval.
 
@@ -33,7 +33,7 @@ from .errors import (BadMeridianFreePart, Lemma73Violation, LongitudeFilling,
 @dataclass(frozen=True, init=False, repr=False)
 class FloerSimpleManifold:
     """A torsion record.  The complement support is held as one bitmask,
-    tauc_bits, over group.encoding.  Build a record from that mask
+    tauc_bits, over the classes of group.  Build a record from that mask
     (tauc_bits=) or from its classes (tauc_support=), which are encoded
     once; tauc_support decodes the mask on demand."""
     group: FinAbGroup
@@ -54,7 +54,7 @@ class FloerSimpleManifold:
     def tauc_support(self):
         """The complement support as a frozenset of classes, decoded from
         tauc_bits on each read."""
-        return frozenset(self.group.encoding.classes(self.tauc_bits))
+        return frozenset(self.group.classes(self.tauc_bits))
 
     def __repr__(self):
         return ("FloerSimpleManifold(group=%r, iota_m=%r, iota_l=%r, tauc_support=%r, "
@@ -75,14 +75,13 @@ def _support_bits(group, classes):
     """The bitmask of a set of complement classes.  Raises
     NegativePhiInComplement for a class of negative free part, which no
     bit can hold, and ValueError for a class of another group."""
-    enc = group.encoding
     codes = []
     for h in frozenset(classes):
         if h.free < 0:
             raise NegativePhiInComplement("complement class %r has negative free part" % (h,))
-        if len(h.torsion) != len(enc.orders):
+        if len(h.torsion) != len(group.torsion_orders):
             raise ValueError("complement class %r does not match the group" % (h,))
-        codes.append(enc.encode(group.element(h.free, h.torsion)))
+        codes.append(group.encode(group.element(h.free, h.torsion)))
     return bitmask(codes)
 
 
@@ -148,13 +147,13 @@ def tau_coefficient(Y, h):
     validate_manifold(Y)
     if h.free < 0:
         return 0
-    code = Y.group.encoding.encode(Y.group.element(h.free, h.torsion))
+    code = Y.group.encode(Y.group.element(h.free, h.torsion))
     return 0 if Y.tauc_bits >> code & 1 else 1
 
 
 def tauc_degree(Y):
     """Max free part over the complement support; -1 if the support is empty."""
-    return (Y.tauc_bits.bit_length() - 1) // Y.group.encoding.size
+    return (Y.tauc_bits.bit_length() - 1) // Y.group.torsion_size
 
 
 @lru_cache(maxsize=None)
@@ -234,11 +233,10 @@ def dtau(Y):
     """
     rep = validate_manifold(Y)
     G, S = Y.group, Y.tauc_bits
-    enc = G.encoding
     degree = tauc_degree(Y)
     levels = degree + 1
-    window = (1 << levels * enc.size) - 1
-    outside = [enc.translate(window & ~S, G.scale(gamma, Y.iota_l), levels)
+    window = (1 << levels * G.torsion_size) - 1
+    outside = [G.translate(window & ~S, G.scale(gamma, Y.iota_l), levels)
                for gamma in range(rep.g)]
     rows = degree // rep.g + 1
     cycle = G.torsion_order_of(Y.iota_m)
@@ -247,8 +245,8 @@ def dtau(Y):
     found = []
     for delta in range(rows):
         if 0 < delta < cycle:
-            rotations.append(enc.translate(rotations[-1], step, levels))
-        row = rotations[delta % cycle] >> delta * rep.g * enc.size
+            rotations.append(G.translate(rotations[-1], step, levels))
+        row = rotations[delta % cycle] >> delta * rep.g * G.torsion_size
         for gamma in range(rep.g):
             if row & outside[gamma]:
                 found.append(DtauElement(delta, gamma))
@@ -291,14 +289,14 @@ def _hfk_support_from_iota(Y, iota_mu):
     Over the free levels 0..degree + free(iota_mu), tau is the window with
     the complement support cleared; the support is tau minus its translate
     by iota_mu, and a translate class outside tau is a difference of -1."""
-    enc = Y.group.encoding
+    G = Y.group
     levels = tauc_degree(Y) + 1 + iota_mu.free
-    window = (1 << levels * enc.size) - 1
+    window = (1 << levels * G.torsion_size) - 1
     tau = window & ~Y.tauc_bits
-    shifted = enc.translate(tau, iota_mu, levels) & window
+    shifted = G.translate(tau, iota_mu, levels) & window
     drop = shifted & ~tau
     if drop:
-        h = enc.classes(drop & -drop)[0]
+        h = G.classes(drop & -drop)[0]
         raise NotFloerSimpleSlope(
             "coefficient difference -1 at %r for iota(mu) = %r" % (h, iota_mu))
     support = tau & ~shifted
@@ -306,7 +304,7 @@ def _hfk_support_from_iota(Y, iota_mu):
         raise NotFloerSimpleSlope(
             "support size %d does not match the filling homology order"
             % support.bit_count())
-    return frozenset(enc.classes(support))
+    return frozenset(G.classes(support))
 
 
 def hfk_support(Y, mu):

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lspace.abelian import (ClassEncoding, FinAbGroup, GluingMatrix,
-                            GroupElement, Slope, _rotation_masks, bitmask,
-                            canonical_longitude, pairing_and_label,
-                            primitive_slope_qs, smith_normal_form,
-                            window_slope_qs)
+from lspace.abelian import (FinAbGroup, GluingMatrix, GroupElement, Slope,
+                            _rotation_masks, bitmask, canonical_longitude,
+                            pairing_and_label, primitive_slope_qs,
+                            smith_normal_form, window_slope_qs)
 from lspace.errors import DeterminantError
 
 
@@ -200,14 +199,19 @@ def test_bad_orders():
 
 
 def test_class_encoding_matches_group():
-    G = FinAbGroup((2, 3))
-    enc = ClassEncoding(G.torsion_orders)
-    torsion = G.torsion_elements()
-    assert [enc.tindex(t.torsion) for t in torsion] == list(range(6))
-    assert enc.encode(G.element(-2, (1, 2))) == -2 * 6 + 5
-    for dt in torsion:
-        table = enc.add_table(dt.torsion)
-        assert table == [enc.tindex(G.add(t, dt).torsion) for t in torsion]
+    # for each group: tindex counts the torsion elements 0..|T|-1, a full
+    # level decodes to them in order, and every add table is the addition
+    assert FinAbGroup((2, 3)).encode(GroupElement(-2, (1, 2))) == -2 * 6 + 5
+    for orders in [(), (3,), (2, 2, 2), (2, 3), (4, 6)]:
+        G = FinAbGroup(orders)
+        torsion = G.torsion_elements()
+        size = G.torsion_size
+        assert [G.tindex(t.torsion) for t in torsion] == list(range(size))
+        assert G.classes(((1 << size) - 1) << 2 * size) == [
+            GroupElement(2, t.torsion) for t in torsion]
+        for dt in torsion:
+            table = G.add_table(dt.torsion)
+            assert table == [G.tindex(G.add(t, dt).torsion) for t in torsion]
 
 
 @st.composite
@@ -225,11 +229,10 @@ def masks_and_shifts(draw):
 @given(masks_and_shifts())
 def test_translate_matches_group_addition(case):
     G, levels, members, h = case
-    enc = ClassEncoding(G.torsion_orders)
-    mask = bitmask(enc.encode(x) for x in members)
-    assert enc.classes(mask) == sorted(members)
-    moved = enc.translate(mask, h, levels)
-    assert enc.classes(moved) == sorted(
+    mask = bitmask(G.encode(x) for x in members)
+    assert G.classes(mask) == sorted(members)
+    moved = G.translate(mask, h, levels)
+    assert G.classes(moved) == sorted(
         y for y in (G.add(x, h) for x in members) if y.free >= 0)
 
 
@@ -239,12 +242,11 @@ def test_rotation_masks_stay_bounded():
     # never more than the cache's finite maxsize
     _rotation_masks.cache_clear()
     G = FinAbGroup((2, 4))
-    enc = ClassEncoding(G.torsion_orders)
     h = G.element(0, (1, 3))
     for levels in range(1, 3000):
         members = [G.element(levels - 1, (0, 0)), G.element(0, (1, 3))]
-        assert enc.translate(bitmask(enc.encode(x) for x in members), h, levels) == bitmask(
-            enc.encode(G.add(x, h)) for x in members)
+        assert G.translate(bitmask(G.encode(x) for x in members), h, levels) == bitmask(
+            G.encode(G.add(x, h)) for x in members)
     info = _rotation_masks.cache_info()
     assert info.currsize == 2 * 13
     assert info.maxsize is not None and info.currsize <= info.maxsize

@@ -3,7 +3,11 @@ import pytest
 from lspace.abelian import Slope
 from lspace.cfd import (build_cfd, cfd_to_dot, cfd_twist_compare,
                         euler_count_check)
-from lspace.corpus import (n_g, negative_trefoil, solid_torus, t25, trefoil)
+from lspace.corpus import (gap_record, n_g, negative_trefoil, solid_torus, t25,
+                           trefoil)
+
+# the T(2,65) exterior: norm 63, so its framing slope has p = 64
+T265 = gap_record(tuple(range(1, 64, 2)))
 from lspace.errors import InvalidFraming
 from lspace.torsion import filling_homology_order, retwist
 
@@ -23,14 +27,14 @@ def test_solid_torus_chain():
 
 
 def test_cardinalities_match_homology():
-    for Y in (negative_trefoil(), solid_torus(), n_g(2), n_g(3)):
+    for Y in (negative_trefoil(), solid_torus(), n_g(2), n_g(3), T265):
         b = build_cfd(Y)
         assert len(b.graph.v0) == filling_homology_order(Y, b.mu)
         assert len(b.graph.v1) == filling_homology_order(Y, b.lam)
 
 
 def test_euler_count():
-    for Y in (negative_trefoil(), n_g(2), n_g(3)):
+    for Y in (negative_trefoil(), n_g(2), n_g(3), T265):
         b = build_cfd(Y)
         assert euler_count_check(Y, b) is True
 

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lspace.abelian import (ClassEncoding, FinAbGroup, GluingMatrix,
-                            GroupElement, Slope, bitmask, pairing_and_label,
-                            quotient_by_relation)
+from lspace.abelian import (FinAbGroup, GluingMatrix, GroupElement, Slope,
+                            bitmask, pairing_and_label, quotient_by_relation)
 from lspace.corpus import (_numerical_semigroup_gaps, gap_record, n_g,
                            random_records, solid_torus, standard_corpus, t25,
                            trefoil)
@@ -144,9 +143,8 @@ def test_gap_piece_is_complement_of_truncated_sumset(inputs):
     expected = sorted(GroupElement(f, t.torsion) for f in range(top + 1)
                       for t in group.torsion_elements()
                       if GroupElement(f, t.torsion) not in sumset)
-    enc = ClassEncoding(group.torsion_orders)
-    box = bitmask(enc.encode(h) for h in box1)
-    assert enc.classes(_principal_gap_piece(enc, group, box, f2, G2)) == expected
+    box = bitmask(group.encode(h) for h in box1)
+    assert group.classes(_principal_gap_piece(group, box, f2, G2)) == expected
 
 
 @st.composite
@@ -155,15 +153,14 @@ def multiples_inputs(draw):
     of free part 0..3, a count and a window: everything, or the classes
     below some free level."""
     group = FinAbGroup(draw(st.sampled_from(PIECE_ORDERS[1:])))
-    enc = group.encoding
     classes = [GroupElement(f, t.torsion) for f in range(4)
                for t in group.torsion_elements()]
-    mask = bitmask(enc.encode(h) for h in draw(st.sets(st.sampled_from(classes),
+    mask = bitmask(group.encode(h) for h in draw(st.sets(st.sampled_from(classes),
                                                        max_size=6)))
     gen = group.element(draw(st.integers(0, 3)),
                         draw(st.sampled_from(group.torsion_elements())).torsion)
     levels = draw(st.one_of(st.none(), st.integers(0, 12)))
-    window = -1 if levels is None else (1 << levels * enc.size) - 1
+    window = -1 if levels is None else (1 << levels * group.torsion_size) - 1
     return group, mask, gen, draw(st.integers(0, 20)), window
 
 
@@ -180,10 +177,9 @@ def test_multiples_match_one_translate_per_multiple(case):
     # same mask, and refused (with the same text) exactly when some class
     # of the window is reached twice
     group, mask, gen, count, window = case
-    enc = group.encoding
-    reference = _mask_or_error(_sumset, enc, mask,
+    reference = _mask_or_error(_sumset, group, mask,
                                [group.scale(k, gen) for k in range(count)], "sum", window)
-    assert _mask_or_error(_multiples, enc, group, mask, gen, count, "sum",
+    assert _mask_or_error(_multiples, group, mask, gen, count, "sum",
                           window) == reference
 
 
@@ -192,9 +188,9 @@ def test_invariant_checked_as_named_error(monkeypatch):
     # meridian box onto the first, so the box repeats its classes
     spliced_manifold.cache_clear()
     js = judicious_slope(prob_trefoils([[3, -5], [1, -2]]))
-    translate = ClassEncoding.translate
-    monkeypatch.setattr(ClassEncoding, "translate",
-                        lambda enc, mask, h, levels: translate(enc, mask, h._replace(free=0), levels))
+    translate = FinAbGroup.translate
+    monkeypatch.setattr(FinAbGroup, "translate",
+                        lambda G, mask, h, levels: translate(G, mask, h._replace(free=0), levels))
     with pytest.raises(InvariantViolation, match="multiplicity-free"):
         spliced_manifold(js)
 
@@ -301,7 +297,7 @@ def test_a3_count_matches_compatible_pairs():
         built = spliced_manifold(js)
         data = dtau(built.record)
         rec = built.record
-        cross = ClassEncoding(rec.group.torsion_orders).classes(built.cross_piece)
+        cross = rec.group.classes(built.cross_piece)
         a3 = [d for d in data.all if rec.iota_ab(d.delta, d.gamma) in cross]
         assert len(a3) == count_compatible_pairs(js)
         assert len(cross) == len(dtau(js.problem.y1).all) * len(dtau(js.problem.y2).all)

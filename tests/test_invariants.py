@@ -1,6 +1,7 @@
 """The invariants are named errors, not assertions: they hold under
 python -O and reach the command line as InvariantViolation."""
 
+import ast
 import json
 import os
 import subprocess
@@ -18,6 +19,18 @@ from lspace.errors import InvariantViolation
 from lspace.torsion import FloerSimpleManifold, validate_manifold
 
 ROOT = Path(__file__).parent.parent
+
+
+def test_no_assert_in_package():
+    # python -O strips assert statements and makes __debug__ False, so
+    # the package states its invariants with require() alone
+    found = []
+    for path in sorted((ROOT / "src" / "lspace").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Assert) or (
+                    isinstance(node, ast.Name) and node.id == "__debug__"):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert not found, found
 
 
 def test_gluing_suite_under_optimize():
