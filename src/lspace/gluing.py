@@ -32,8 +32,8 @@ from .errors import (HypothesisNotMet, NotRationalHomologySphere, reads_input,
                      require)
 from .interval import is_lspace_slope, lspace_interval
 from .projline import ProjInterval, meet_ranges
-from .torsion import (FloerSimpleManifold, conj_record, dtau, reversed_encoding,
-                      tauc_degree, validate_manifold)
+from .torsion import (FloerSimpleManifold, conj_record, dtau, manifold_from_json,
+                      reversed_encoding, tauc_degree, validate_manifold)
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,6 @@ class SpliceProblem:
 
 @reads_input
 def splice_from_json(doc):
-    from .torsion import manifold_from_json
     return SpliceProblem(y1=manifold_from_json(doc["y1"]),
                          y2=manifold_from_json(doc["y2"]),
                          phi=GluingMatrix.from_rows(doc["phi"]))
@@ -93,7 +92,7 @@ def splice_is_lspace(prob):
     image1 = i1.interval.image(prob.phi)
     if not image1.interior().intersects(i2.interval.interior()):
         raise HypothesisNotMet("interval interiors do not overlap under the gluing")
-    both_nonempty = bool(dtau(prob.y1).all) and bool(dtau(prob.y2).all)
+    both_nonempty = any(dtau(prob.y1).rows) and any(dtau(prob.y2).rows)
     if both_nonempty:
         covered = image1.interior().covers_circle_with(i2.interval.interior())
     else:

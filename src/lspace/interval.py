@@ -21,7 +21,8 @@ from .abelian import LONGITUDE, Slope, canonical_longitude
 from .errors import (MissingWitness, WitnessOnIntervalBoundary,
                      WitnessOnLongitude, require)
 from .projline import ProjInterval
-from .torsion import dtau, hfk_support, milnor_invariants, validate_manifold
+from .torsion import (DtauElement, dtau, hfk_support, milnor_invariants,
+                      validate_manifold)
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,18 @@ def validate_witness(Y, mu_L=None):
     two lifts are distinct slopes, the labels between the bounds are the
     arc between them through mu_L, and that arc misses the longitude.
 
+    D^tau is read by row.  On the row delta, with c = -q delta mod pg,
+    b_plus(gamma) = (p gamma + c) mod pg rises with gamma except at one
+    wrap, gamma_w = g - c // p, below which it is p gamma + c and from
+    which on it is p gamma + c - pg.  So the row's least b_plus is at its
+    lowest set gamma at or past gamma_w, or else at its lowest set gamma,
+    and its greatest at its highest set gamma below gamma_w, or else at
+    its highest set gamma.  A residue vanishes only when p divides c, at
+    gamma_w mod g (gamma 0 for c = 0): one bit test per row.  The rows
+    are read in increasing delta and compared strictly, so the first
+    achieving element and the first vanishing residue in (delta, gamma)
+    order are the ones reported.
+
     That mu_L lies in the interior of the L-space interval is the
     caller's precondition, as in the paper: the record cannot always
     check it.  The trefoil slopes 4/1 and -4 (Slope(4, -1)) have the same
@@ -74,34 +87,49 @@ def validate_witness(Y, mu_L=None):
         raise WitnessOnLongitude("the longitude is never an interior L-space slope")
     p, q = mu_L.a, mu_L.b
     pg = p * g
-    # the running bounds b/d.delta are kept as (b, d) and compared by
-    # cross-multiplication (every delta is positive)
+    # the running bounds b/delta are kept as (b, delta, gamma) and
+    # compared by cross-multiplication (every delta is positive)
     lo = hi = None
-    for d in dtau(Y).positive:
-        b_plus = (p * d.gamma - q * d.delta) % pg
-        if b_plus == 0:
+    for delta, row in enumerate(dtau(Y).rows):
+        if not row or not delta:
+            continue
+        c = -q * delta % pg
+        wrap = g - c // p
+        if c % p == 0 and row >> (wrap % g) & 1:
             raise WitnessOnIntervalBoundary(
                 "residue vanishes at delta=%d, gamma=%d; supply a strictly "
-                "interior slope" % (d.delta, d.gamma))
-        b_minus = b_plus - pg
-        if lo is None or b_minus * lo[1].delta > lo[0] * d.delta:
-            lo = (b_minus, d)
-        if hi is None or b_plus * hi[1].delta < hi[0] * d.delta:
-            hi = (b_plus, d)
+                "interior slope" % (delta, wrap % g))
+        below, past = row & (1 << wrap) - 1, row >> wrap
+        if below:  # the greatest b_plus, which gives the greatest b_minus
+            gamma = below.bit_length() - 1
+            b_minus = p * gamma + c - pg
+        else:
+            gamma = row.bit_length() - 1
+            b_minus = p * gamma + c - 2 * pg
+        if lo is None or b_minus * lo[1] > lo[0] * delta:
+            lo = (b_minus, delta, gamma)
+        if past:  # the least b_plus
+            gamma = wrap + (past & -past).bit_length() - 1
+            b_plus = p * gamma + c - pg
+        else:
+            gamma = (row & -row).bit_length() - 1
+            b_plus = p * gamma + c
+        if hi is None or b_plus * hi[1] < hi[0] * delta:
+            hi = (b_plus, delta, gamma)
     if p * g > milnor_invariants(Y).norm:
         hfk_support(Y, mu_L)  # raises NotFloerSimpleSlope on incoherence
     if lo is None:
         return LSpaceIntervalResult(
             kind="all-but-longitude",
             interval=ProjInterval.complement_of_point(LONGITUDE))
-    (lo_b, ach_lo), (hi_b, ach_hi) = lo, hi
+    ach_lo, ach_hi = DtauElement(*lo[1:]), DtauElement(*hi[1:])
     interval = ProjInterval.arc_through(endpoint_lifts(g, mu_L, ach_lo)[0],
                                         endpoint_lifts(g, mu_L, ach_hi)[1],
                                         via=mu_L)
     return LSpaceIntervalResult(
         kind="closed", interval=interval,
         lo=interval.lo, hi=interval.hi,
-        label_bounds=(Fraction(lo_b, ach_lo.delta), Fraction(hi_b, ach_hi.delta)),
+        label_bounds=(Fraction(lo[0], lo[1]), Fraction(hi[0], hi[1])),
         achieving=(ach_lo, ach_hi))
 
 

@@ -20,7 +20,7 @@ downstream (interval computation, gluing, coloring) consumes this record.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .abelian import FinAbGroup, GroupElement, Slope, bitmask
@@ -88,7 +88,6 @@ def _support_bits(group, classes):
 class ValidationReport(NamedTuple):
     g: int            # order of iota(l) in T
     k: int            # |T| / g
-    torsion_size: int
 
 
 class DtauElement(NamedTuple):
@@ -97,13 +96,46 @@ class DtauElement(NamedTuple):
     gamma: int      # residue mod g
 
 
-class DtauData(NamedTuple):
-    all: tuple       # D^tau including torsion elements (delta = 0)
-    positive: tuple  # the delta > 0 part
+class DtauData:
+    """D^tau by row: bit gamma of rows[delta] is set when the class
+    delta*iota(m) + gamma*iota(l) is a member, so each row is a g-bit mask
+    and row 0 is the torsion part.  The members, all (delta = 0
+    included) and positive (delta > 0), are decoded from the rows in
+    (delta, gamma) order on first read and kept.  Two DtauData are equal
+    exactly when their members are."""
+
+    def __init__(self, rows):
+        self.rows = tuple(rows)
+
+    @classmethod
+    def from_members(cls, members):
+        """The rows of a set of (delta, gamma) pairs with delta >= 0."""
+        rows = []
+        for delta, gamma in members:
+            rows.extend([0] * (delta + 1 - len(rows)))
+            rows[delta] |= 1 << gamma
+        return cls(rows)
+
+    @cached_property
+    def all(self):
+        return tuple(DtauElement(delta, gamma) for delta, row in enumerate(self.rows)
+                     for gamma in range(row.bit_length()) if row >> gamma & 1)
+
+    @cached_property
+    def positive(self):
+        return self.all[self.rows[0].bit_count():] if self.rows else ()
+
+    def __eq__(self, other):
+        return isinstance(other, DtauData) and self.all == other.all
+
+    def __hash__(self):
+        return hash(self.all)
+
+    def __repr__(self):
+        return "DtauData(all=%r, positive=%r)" % (self.all, self.positive)
 
 
 class MilnorReport(NamedTuple):
-    delta_bar: tuple   # coefficients of the reduced Alexander polynomial
     norm: int          # deg(delta_bar) - 1, valid under boundary incompressibility
     monic: bool        # fibered detection for irreducible Y
     gst: bool          # deg(delta_bar) < g: generalized solid torus
@@ -129,7 +161,6 @@ def validate_manifold(Y):
     if Y.tauc_bits & 1:
         raise ZeroInComplement("the zero class may not lie in the complement support")
     zero = G.zero()
-    size = G.torsion_size
     # exact subgroup enumeration of <iota(l)>, cross-checked against g
     seen = {zero}
     cur = zero
@@ -139,7 +170,7 @@ def validate_manifold(Y):
             break
         seen.add(cur)
     require(len(seen) == g, "<iota(l)> has %d elements, not g = %d", len(seen), g)
-    return ValidationReport(g=g, k=size // g, torsion_size=size)
+    return ValidationReport(g=g, k=G.torsion_size // g)
 
 
 def tau_coefficient(Y, h):
@@ -160,37 +191,53 @@ def tauc_degree(Y):
 def milnor_invariants(Y):
     """Reduced torsion invariants obtained by killing T.
 
-    The reduced series has coefficient |T| minus the number of complement
-    classes at each free level; multiplying by (1 - t) gives the reduced
-    Alexander polynomial.  Its degree determines the Thurston norm
-    (deg - 1, assuming boundary incompressibility), monicity detects
+    The reduced series has coefficient |T| minus the number c_i of
+    complement classes at each free level i; multiplying by (1 - t) gives
+    the reduced Alexander polynomial delta_bar (reduced_alexander), of
+    degree D + 1 for the top level D = tauc_degree(Y), whose top
+    coefficient is c_D.  The degree determines the Thurston norm (D,
+    assuming boundary incompressibility), monicity (c_D = 1) detects
     fiberedness for irreducible Y, and deg < g characterizes generalized
-    solid tori.  The coefficient sums over each residue class mod g must
+    solid tori.
+
+    Lemma 7.3: the coefficient sums over each residue class mod g must
     all equal k; a failure means no rational homology S^1 x D^2 has this
-    torsion, and raises Lemma73Violation.
+    torsion, and raises Lemma73Violation.  The coefficient at i is
+    c_(i-1) - c_i with c_(-1) = |T|, so the sum over the class r is
+    |T| [r = 0] + P_(r-1) - P_r, where P_r, the complement classes at the
+    levels i = r (mod g), is the popcount of the support masked by the
+    periodic mask of those levels: g popcounts for the whole check.
     """
     rep = validate_manifold(Y)
-    size = rep.torsion_size
-    # tau_bar coefficient at i is size minus the complement classes at
-    # level i, counted in one pass over the mask's digits; the last
-    # coefficient is the count of the top level, so it is never 0
-    digits = bin(Y.tauc_bits)[:1:-1]
-    delta_bar = []
-    prev = 0
-    for i in range(tauc_degree(Y) + 2):
-        cur = size - digits.count("1", i * size, (i + 1) * size)
-        delta_bar.append(cur - prev)
-        prev = cur
-    deg = len(delta_bar) - 1
-    class_sums = [0] * rep.g
-    for i, c in enumerate(delta_bar):
-        class_sums[i % rep.g] += c
+    g, size, S = rep.g, Y.group.torsion_size, Y.tauc_bits
+    degree = tauc_degree(Y)
+    period = g * size
+    blocks = degree // g + 1  # the levels 0, g, 2g, ... up to the top one
+    level0 = ((1 << size) - 1) * (((1 << period * blocks) - 1) // ((1 << period) - 1))
+    counts = [(S & level0 << r * size).bit_count() for r in range(g)]
+    class_sums = [size * (r == 0) + counts[r - 1] - counts[r] for r in range(g)]
     if any(s != rep.k for s in class_sums):
         raise Lemma73Violation(
             "residue-class sums of the reduced Alexander polynomial are %r, expected %d each"
             % (class_sums, rep.k))
-    return MilnorReport(delta_bar=tuple(delta_bar), norm=deg - 1,
-                        monic=(delta_bar[-1] == 1), gst=(deg < rep.g), k=rep.k)
+    top = (S >> degree * size).bit_count() if S else size
+    return MilnorReport(norm=degree, monic=(top == 1), gst=(degree + 1 < g), k=rep.k)
+
+
+def reduced_alexander(Y):
+    """The coefficients of the reduced Alexander polynomial delta_bar,
+    constant term first: (1 - t) times the reduced series, level by
+    level.  The last coefficient is the count of the top level, so it is
+    never 0."""
+    size, S = Y.group.torsion_size, Y.tauc_bits
+    level = (1 << size) - 1
+    coefficients = []
+    prev = 0
+    for i in range(tauc_degree(Y) + 2):
+        cur = size - (S >> i * size & level).bit_count()
+        coefficients.append(cur - prev)
+        prev = cur
+    return tuple(coefficients)
 
 
 def iota_coordinates(Y, h):
@@ -216,7 +263,8 @@ def iota_coordinates(Y, h):
 
 @lru_cache(maxsize=None)
 def dtau(Y):
-    """The difference set of the torsion supports, in boundary coordinates.
+    """The difference set of the torsion supports, in boundary coordinates,
+    as one g-bit gamma mask per row delta (DtauData).
 
     A boundary-image class d = delta*iota(m) + gamma*iota(l) with
     delta >= 0 belongs to the set exactly when some complement class x
@@ -231,27 +279,27 @@ def dtau(Y):
     of that torsion part, so only the first min(order, rows) are built,
     one translate each, and each row is one shift of one of them.
     """
-    rep = validate_manifold(Y)
+    g = validate_manifold(Y).g
     G, S = Y.group, Y.tauc_bits
     degree = tauc_degree(Y)
     levels = degree + 1
     window = (1 << levels * G.torsion_size) - 1
-    outside = [G.translate(window & ~S, G.scale(gamma, Y.iota_l), levels)
-               for gamma in range(rep.g)]
-    rows = degree // rep.g + 1
+    outside = [(G.translate(window & ~S, G.scale(gamma, Y.iota_l), levels), 1 << gamma)
+               for gamma in range(g)]
     cycle = G.torsion_order_of(Y.iota_m)
     step = G.neg(Y.iota_m)._replace(free=0)
     rotations = [S]  # translate(S, -delta*iota(m)) before the shift
-    found = []
-    for delta in range(rows):
+    rows = []
+    for delta in range(degree // g + 1):
         if 0 < delta < cycle:
             rotations.append(G.translate(rotations[-1], step, levels))
-        row = rotations[delta % cycle] >> delta * rep.g * G.torsion_size
-        for gamma in range(rep.g):
-            if row & outside[gamma]:
-                found.append(DtauElement(delta, gamma))
-    positive = tuple(e for e in found if e.delta > 0)
-    return DtauData(all=tuple(found), positive=positive)
+        row = rotations[delta % cycle] >> delta * g * G.torsion_size
+        mask = 0
+        for complement, bit in outside:
+            if row & complement:
+                mask |= bit
+        rows.append(mask)
+    return DtauData(rows)
 
 
 def gamma_closed(Y, bound=None):

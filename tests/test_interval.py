@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,17 +10,19 @@ from hypothesis import strategies as st
 from lspace.abelian import (LONGITUDE, GluingMatrix, Slope,
                             canonical_longitude, pairing_and_label)
 from lspace.corpus import (_numerical_semigroup_gaps, gap_record, n_g,
-                           negative_trefoil, random_records, solid_torus, t25,
-                           trefoil)
-from lspace.errors import WitnessOnIntervalBoundary, WitnessOnLongitude
+                           negative_trefoil, random_records, solid_torus,
+                           standard_corpus, t25, trefoil)
+from lspace.errors import (LSpaceError, WitnessOnIntervalBoundary,
+                           WitnessOnLongitude)
 from lspace.gluing import SpliceProblem, judicious_slope, spliced_manifold
-from lspace.interval import (_ratio_le, check_corollary_consistency,
-                             endpoint_lifts, is_lspace_slope, lspace_interval,
-                             nls_detected, validate_witness)
+from lspace.interval import (LSpaceIntervalResult, _ratio_le,
+                             check_corollary_consistency, endpoint_lifts,
+                             is_lspace_slope, lspace_interval, nls_detected,
+                             validate_witness)
 from lspace.projline import ProjInterval
 from lspace.selftest import all_slopes, valid_witnesses
-from lspace.torsion import (dtau, retwist, slope_after_retwist,
-                            validate_manifold)
+from lspace.torsion import (DtauData, dtau, hfk_support, milnor_invariants,
+                            retwist, slope_after_retwist, validate_manifold)
 
 
 def test_validate_witness_examples():
@@ -86,7 +89,7 @@ def test_membership_coherence_exhaustive():
     y12 = spliced_manifold(judicious_slope(SpliceProblem(
         trefoil(), trefoil(), GluingMatrix.from_rows([[3, -5], [1, -2]])))).record
     torsion_record = next(Y for Y in random_records(seed=0)
-                          if validate_manifold(Y).torsion_size > 1)
+                          if Y.group.torsion_size > 1)
     cases = [(trefoil(), Slope(3, 1)), (t25(), Slope(4, 1)),
              (n_g(2), Slope(1, 0)), (solid_torus(), Slope(1, 0)),
              (trefoil(), Slope(7, 2)), (t25(), Slope(7, 2)),
@@ -305,3 +308,97 @@ nonzero = st.integers(-50, 50).filter(bool)
 @example(-1, 2, 1, -2)
 def test_ratio_le_matches_fractions(x, y, u, v):
     assert _ratio_le(x, y, u, v) == (Fraction(x, y) <= Fraction(u, v))
+
+
+# --- the row form of validate_witness against the per-member pass ------------
+
+def member_validate_witness(Y, mu_L, data=None):
+    """validate_witness as one pass over the positive members of D^tau
+    (or of data standing for it), one residue each: the reference for the
+    row form."""
+    g = validate_manifold(Y).g
+    if mu_L.dot_l == 0:
+        raise WitnessOnLongitude("the longitude is never an interior L-space slope")
+    p, q = mu_L.a, mu_L.b
+    pg = p * g
+    lo = hi = None
+    for d in (dtau(Y) if data is None else data).positive:
+        b_plus = (p * d.gamma - q * d.delta) % pg
+        if b_plus == 0:
+            raise WitnessOnIntervalBoundary(
+                "residue vanishes at delta=%d, gamma=%d; supply a strictly "
+                "interior slope" % (d.delta, d.gamma))
+        b_minus = b_plus - pg
+        if lo is None or b_minus * lo[1].delta > lo[0] * d.delta:
+            lo = (b_minus, d)
+        if hi is None or b_plus * hi[1].delta < hi[0] * d.delta:
+            hi = (b_plus, d)
+    if p * g > milnor_invariants(Y).norm:
+        hfk_support(Y, mu_L)
+    if lo is None:
+        return LSpaceIntervalResult(
+            kind="all-but-longitude",
+            interval=ProjInterval.complement_of_point(LONGITUDE))
+    (lo_b, ach_lo), (hi_b, ach_hi) = lo, hi
+    interval = ProjInterval.arc_through(endpoint_lifts(g, mu_L, ach_lo)[0],
+                                        endpoint_lifts(g, mu_L, ach_hi)[1],
+                                        via=mu_L)
+    return LSpaceIntervalResult(
+        kind="closed", interval=interval, lo=interval.lo, hi=interval.hi,
+        label_bounds=(Fraction(lo_b, ach_lo.delta), Fraction(hi_b, ach_hi.delta)),
+        achieving=(ach_lo, ach_hi))
+
+
+def _answer(fn, *args):
+    try:
+        return fn(*args)
+    except LSpaceError as exc:
+        return type(exc), str(exc)
+
+
+def test_row_form_matches_member_pass(spliced_records):
+    records = [*standard_corpus().values(), n_g(4), n_g(5),
+               *(Y for seed in range(4) for Y in random_records(seed=seed)),
+               *spliced_records]
+    # vanishing residues by where they fall: a row of g = 1, gamma 0 of a
+    # longer row (c = 0) and the wrap of a longer row
+    vanishing = set()
+    closed = 0
+    for Y in records:
+        g = validate_manifold(Y).g
+        for w in all_slopes(6):
+            want = _answer(member_validate_witness, Y, w)
+            got = _answer(validate_witness, Y, w)
+            assert got == want, (Y, w)
+            if isinstance(got, LSpaceIntervalResult):
+                closed += got.kind == "closed"
+            elif got[0] is WitnessOnIntervalBoundary:
+                gamma = int(got[1].split("gamma=")[1].split(";")[0])
+                vanishing.add("g = 1" if g == 1 else "gamma 0" if gamma == 0 else "wrap")
+    assert vanishing == {"g = 1", "gamma 0", "wrap"}
+    assert closed > 100
+
+
+# records with g > 1 and the witnesses that pass their knot Floer check
+ROW_RECORDS = [(Y, valid_witnesses(Y, 8)) for Y in
+               [n_g(3), n_g(4), n_g(5),
+                *(Y for Y in random_records(seed=2) if validate_manifold(Y).g > 1)]]
+
+
+@st.composite
+def witness_and_rows(draw):
+    """A record, one of its witnesses and an arbitrary D^tau in the rows
+    delta = 0..8: rows with several gammas on each side of the wrap."""
+    Y, witnesses = draw(st.sampled_from(ROW_RECORDS))
+    g = validate_manifold(Y).g
+    pairs = draw(st.sets(st.tuples(st.integers(0, 8), st.integers(0, g - 1))))
+    return Y, draw(st.sampled_from(witnesses)), DtauData.from_members(sorted(pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(witness_and_rows())
+def test_row_form_matches_member_pass_on_any_rows(case):
+    Y, w, data = case
+    with mock.patch("lspace.interval.dtau", lambda _: data):
+        got = _answer(validate_witness.__wrapped__, Y, w)
+    assert got == _answer(member_validate_witness, Y, w, data)

@@ -15,13 +15,13 @@ from lspace.errors import (LSpaceError, Lemma73Violation, LongitudeFilling,
                            NotFloerSimpleSlope, ZeroInComplement)
 from lspace.gluing import SpliceProblem, judicious_slope, spliced_manifold
 from lspace.selftest import all_slopes
-from lspace.torsion import (DtauData, DtauElement, FloerSimpleManifold,
+from lspace.torsion import (DtauData, FloerSimpleManifold, MilnorReport,
                             _hfk_support_from_iota, conj_record, dtau,
                             filling_homology_order, gamma_closed, hfk_support,
                             iota_coordinates, manifold_from_json,
-                            manifold_to_json, milnor_invariants, retwist,
-                            reversed_encoding, tau_coefficient, tauc_degree,
-                            validate_manifold)
+                            manifold_to_json, milnor_invariants,
+                            reduced_alexander, retwist, reversed_encoding,
+                            tau_coefficient, tauc_degree, validate_manifold)
 
 
 def series_coefficients(numer, denom, upto):
@@ -97,7 +97,7 @@ def test_validate_rejects_nontorsion_longitude():
 
 def test_milnor_trefoil():
     rep = milnor_invariants(trefoil())
-    assert rep.delta_bar == (1, -1, 1)
+    assert reduced_alexander(trefoil()) == (1, -1, 1)
     assert rep.norm == 1
     assert rep.monic
     assert not rep.gst
@@ -109,7 +109,7 @@ def test_milnor_n2():
     coeffs = series_coefficients([1, 0, -1], [1, -2, 1], 6)
     assert coeffs == [1, 2, 2, 2, 2, 2, 2]
     rep = milnor_invariants(n_g(2))
-    assert rep.delta_bar == (1, 1)
+    assert reduced_alexander(n_g(2)) == (1, 1)
     assert rep.norm == 0
     assert rep.gst
     assert rep.k == 1
@@ -117,29 +117,71 @@ def test_milnor_n2():
 
 def test_milnor_solid_torus():
     rep = milnor_invariants(solid_torus())
-    assert rep.delta_bar == (1,)
+    assert reduced_alexander(solid_torus()) == (1,)
     assert rep.gst
 
 
 def test_milnor_identity_with_tau_bar():
     # (1 - t) tau_bar == delta_bar as a truncated-series identity
     torsion_records = [Y for seed in range(4) for Y in random_records(seed=seed)
-                       if validate_manifold(Y).torsion_size > 1]
+                       if Y.group.torsion_size > 1]
     assert torsion_records
     for Y in (trefoil(), t25(), n_g(2), n_g(3), n_g(4), *torsion_records):
-        rep = validate_manifold(Y)
         mil = milnor_invariants(Y)
-        upto = len(mil.delta_bar) + 4
+        delta_bar = reduced_alexander(Y)
+        upto = len(delta_bar) + 4
         tau_bar = []
         for i in range(upto + 1):
             count = sum(1 for h in Y.tauc_support if h.free == i)
-            tau_bar.append(rep.torsion_size - count)
+            tau_bar.append(Y.group.torsion_size - count)
         recon = [tau_bar[0]] + [tau_bar[i] - tau_bar[i - 1] for i in range(1, upto + 1)]
-        assert recon[:len(mil.delta_bar)] == list(mil.delta_bar)
-        assert all(c == 0 for c in recon[len(mil.delta_bar):])
+        assert recon[:len(delta_bar)] == list(delta_bar)
+        assert all(c == 0 for c in recon[len(delta_bar):])
         # the top coefficient is the count of the top level, never 0
         assert mil.norm == tauc_degree(Y)
-        assert mil.delta_bar[-1] != 0
+        assert delta_bar[-1] != 0
+
+
+def per_level_milnor(Y):
+    """milnor_invariants from the coefficients of reduced_alexander, one
+    level at a time, or the class and message of its Lemma73Violation."""
+    rep = validate_manifold(Y)
+    coefficients = reduced_alexander(Y)
+    class_sums = [0] * rep.g
+    for i, c in enumerate(coefficients):
+        class_sums[i % rep.g] += c
+    if any(s != rep.k for s in class_sums):
+        return (Lemma73Violation,
+                "residue-class sums of the reduced Alexander polynomial are %r, "
+                "expected %d each" % (class_sums, rep.k))
+    deg = len(coefficients) - 1
+    return MilnorReport(norm=deg - 1, monic=coefficients[-1] == 1,
+                        gst=deg < rep.g, k=rep.k)
+
+
+def test_milnor_class_sums_by_mask_match_per_level_sums(spliced_records):
+    # on each record, and on each record with one complement class added
+    # or removed, over the levels 0..D+1 (every class of the small
+    # records, a spread of about a hundred of the spliced ones)
+    outcomes = set()
+    records = [Y for seed in range(6) for Y in random_records(seed=seed)]
+    # g = 1 over Z/2: the empty support (top coefficient |T| = 2) and one
+    # class at level 0 (degree 1 = g, not a generalized solid torus)
+    G = FinAbGroup((2,))
+    for support in ((), (GroupElement(0, (1,)),)):
+        records.append(FloerSimpleManifold(group=G, iota_m=GroupElement(1, (0,)),
+                                           iota_l=GroupElement(0, (0,)),
+                                           tauc_support=support))
+    for Y in records + spliced_records:
+        assert _outcome(milnor_invariants, Y) == per_level_milnor(Y)
+        end = (tauc_degree(Y) + 2) * Y.group.torsion_size
+        for bit in range(1, end, max(1, end // 100)):
+            Z = FloerSimpleManifold(group=Y.group, iota_m=Y.iota_m, iota_l=Y.iota_l,
+                                    tauc_bits=Y.tauc_bits ^ 1 << bit)
+            want = per_level_milnor(Z)
+            assert _outcome(milnor_invariants, Z) == want, (Y, bit)
+            outcomes.add(want[0] is Lemma73Violation)
+    assert outcomes == {False, True}
 
 
 def test_lemma73_violation():
@@ -168,7 +210,7 @@ def test_iota_coordinates_vs_subgroup_enumeration():
                               iota_l=GroupElement(0, (1, 2)),
                               tauc_support=frozenset())
     assert validate_manifold(big).g == 6
-    assert validate_manifold(big).torsion_size == 24
+    assert big.group.torsion_size == 24
     for Y in (n_g(2), n_g(3), n_g(4), trefoil(), big):
         rep = validate_manifold(Y)
         G = Y.group
@@ -259,6 +301,11 @@ def test_dtau_matches_brute_force_differences(Y):
     data = dtau(Y)
     assert [tuple(e) for e in data.all] == expected
     assert [tuple(e) for e in data.positive] == [e for e in expected if e[0] > 0]
+    # one g-bit mask per row, row 0 the torsion part
+    assert len(data.rows) == tauc_degree(Y) // g + 1
+    assert all(row >> g == 0 for row in data.rows)
+    assert data == DtauData.from_members(expected)
+    assert hash(data) == hash(DtauData.from_members(expected))
 
 
 def gamma_closed_over_elements(Y, data, bound=None):
@@ -289,8 +336,7 @@ def records_with_pair_sets(draw):
     Y = draw(records())
     g = validate_manifold(Y).g
     pairs = sorted(draw(st.sets(st.tuples(st.integers(0, 3), st.integers(0, g - 1)))))
-    return Y, DtauData(all=tuple(DtauElement(*e) for e in pairs),
-                       positive=tuple(DtauElement(*e) for e in pairs if e[0] > 0))
+    return Y, DtauData.from_members(pairs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -395,8 +441,8 @@ def test_filling_homology_order_matches_quotient():
 
 def test_tau_eventually_one():
     for Y in (trefoil(), t25(), n_g(3)):
-        mil = milnor_invariants(Y)
-        deg = len(mil.delta_bar) - 1
+        milnor_invariants(Y)
+        deg = len(reduced_alexander(Y)) - 1
         G = Y.group
         for f in range(deg + 1, deg + 5):
             for t in G.torsion_elements():
